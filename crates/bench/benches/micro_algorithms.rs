@@ -23,7 +23,7 @@ use dpfill_core::bcp::BcpInstance;
 use dpfill_core::fill::{DpFill, DpMode, FillStrategy, MtFill};
 use dpfill_core::Interval;
 use dpfill_cubes::format::{
-    parse_patterns, parse_patterns_scalar, patterns_to_string, read_patterns,
+    parse_patterns, parse_patterns_scalar, patterns_to_string, read_patterns, write_patterns,
 };
 use dpfill_cubes::gen::{random_cube_set, CubeProfile};
 use dpfill_cubes::packed::{PackedCubeSet, PackedMatrix};
@@ -100,6 +100,40 @@ fn bench_parse(c: &mut Criterion) {
     group.bench_function("read_patterns/streaming_io/1024x1024", |b| {
         b.iter(|| criterion::black_box(read_patterns(text.as_bytes()).unwrap().len()))
     });
+    group.finish();
+}
+
+/// Pattern emission: `write_patterns` (the plane→ASCII kernel behind
+/// the bounded chunk writer) against the per-char `Display` oracle, on
+/// a fully specified 16384 × 2048 set (the shape of a filled
+/// industrial pattern file) and a 50%-X 1024 × 1024 set. Both render
+/// into a reused `Vec<u8>`, so the rows time formatting, not the sink;
+/// MB/s is output bytes over the median time.
+fn bench_emit(c: &mut Criterion) {
+    use std::io::Write as _;
+    let mut group = c.benchmark_group("emit");
+    group.sample_size(10);
+    for (cubes, width, x_density) in [(16384usize, 2048usize, 0.0), (1024, 1024, 0.5)] {
+        let set = random_cube_set(width, cubes, x_density, 0xE417);
+        let shape = format!("{cubes}x{width}");
+        let mut out = Vec::with_capacity(cubes * (width + 1));
+        group.bench_function(format!("write_patterns/kernel/{shape}"), |b| {
+            b.iter(|| {
+                out.clear();
+                write_patterns(&mut out, &set, None).unwrap();
+                criterion::black_box(out.len())
+            })
+        });
+        group.bench_function(format!("display_oracle/{shape}"), |b| {
+            b.iter(|| {
+                out.clear();
+                for row in set.packed_cubes() {
+                    writeln!(out, "{row}").unwrap();
+                }
+                criterion::black_box(out.len())
+            })
+        });
+    }
     group.finish();
 }
 
@@ -211,6 +245,7 @@ criterion_group!(
     benches,
     bench_packed_kernels,
     bench_parse,
+    bench_emit,
     bench_bcp,
     bench_dp_fill_ablation,
     bench_atpg,

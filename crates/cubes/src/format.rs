@@ -32,11 +32,12 @@ use crate::{Bit, CubeError, CubeSet, TestCube};
 
 /// Parse/emit throughput (relaxed no-ops unless a [`minitrace`] sink is
 /// live): wall-clock per parsed window, cubes and raw bytes ingested,
-/// cubes emitted.
+/// cubes and bytes emitted.
 static PARSE_WINDOW_NS: minitrace::Histogram = minitrace::Histogram::new("cubes.parse.window_ns");
 static PARSE_CUBES: minitrace::Counter = minitrace::Counter::new("cubes.parse.cubes");
 static PARSE_BYTES: minitrace::Counter = minitrace::Counter::new("cubes.parse.bytes");
 static EMIT_CUBES: minitrace::Counter = minitrace::Counter::new("cubes.emit.cubes");
+static EMIT_BYTES: minitrace::Counter = minitrace::Counter::new("cubes.emit.bytes");
 
 /// A pattern-file failure: either the underlying reader failed or a line
 /// did not parse. Flattens the previous `io::Result<Result<_, _>>`
@@ -82,46 +83,53 @@ impl From<CubeError> for PatternError {
 /// Parses one raw pattern line into a packed row. Returns `Ok(None)` for
 /// blank and comment-only lines; `idx` is the 0-based line number used
 /// in errors. This is the single line-level kernel behind every parser
-/// and the windowed [`PatternStream`].
-fn parse_line(idx: usize, line: &str) -> Result<Option<PackedBits>, CubeError> {
+/// and the windowed [`PatternStream`]. It takes raw bytes, so a line
+/// that is not UTF-8 fails as a [`CubeError::ParseLine`] at its own line
+/// instead of failing the read.
+fn parse_line(idx: usize, line: &[u8]) -> Result<Option<PackedBits>, CubeError> {
     // Fast path: most lines of a large pattern file are pure `01X`
     // rows, which the branchless kernel packs in one pass with no
-    // comment scan. A `#` (or any other byte) falls through to the
-    // comment-stripping slow path.
-    let trimmed = line.trim();
+    // comment scan or UTF-8 check. A `#` (or any other byte) falls
+    // through to the comment-stripping slow path.
+    let trimmed = line.trim_ascii();
     if trimmed.is_empty() {
         return Ok(None);
     }
-    match PackedBits::from_pattern_ascii(trimmed.as_bytes()) {
+    if let Ok(row) = PackedBits::from_pattern_ascii(trimmed) {
+        return Ok(Some(row));
+    }
+    let text = std::str::from_utf8(line).map_err(|e| CubeError::ParseLine {
+        line: idx + 1,
+        message: format!(
+            "invalid pattern byte 0x{:02X} (not UTF-8)",
+            line[e.valid_up_to()]
+        ),
+    })?;
+    let trimmed = text.trim();
+    let content = match trimmed.find('#') {
+        Some(pos) => &trimmed[..pos],
+        None => trimmed,
+    };
+    let content = content.trim_end();
+    if content.is_empty() {
+        return Ok(None);
+    }
+    match PackedBits::from_pattern_ascii(content.as_bytes()) {
         Ok(row) => Ok(Some(row)),
         Err(_) => {
-            let content = match trimmed.find('#') {
-                Some(pos) => &trimmed[..pos],
-                None => trimmed,
-            };
-            let content = content.trim_end();
-            if content.is_empty() {
-                return Ok(None);
-            }
-            match PackedBits::from_pattern_ascii(content.as_bytes()) {
-                Ok(row) => Ok(Some(row)),
-                Err(_) => {
-                    // Cold path: rescan as chars for the exact
-                    // offending character (a UTF-8 sequence fails on
-                    // its lead byte). A byte already failed, so some
-                    // char fails; the fallback message keeps this
-                    // branch panic-free regardless.
-                    let message = content
-                        .chars()
-                        .map(Bit::from_char)
-                        .find_map(Result::err)
-                        .map_or_else(|| "unparsable pattern line".to_string(), |e| e.to_string());
-                    Err(CubeError::ParseLine {
-                        line: idx + 1,
-                        message,
-                    })
-                }
-            }
+            // Cold path: rescan as chars for the exact offending
+            // character (a UTF-8 sequence fails on its lead byte). A
+            // byte already failed, so some char fails; the fallback
+            // message keeps this branch panic-free regardless.
+            let message = content
+                .chars()
+                .map(Bit::from_char)
+                .find_map(Result::err)
+                .map_or_else(|| "unparsable pattern line".to_string(), |e| e.to_string());
+            Err(CubeError::ParseLine {
+                line: idx + 1,
+                message,
+            })
         }
     }
 }
@@ -151,7 +159,7 @@ impl PatternBuilder {
 
     /// Consumes one raw line (`idx` is 0-based); comments and blank
     /// lines are skipped here so callers just feed every line.
-    fn line(&mut self, idx: usize, line: &str) -> Result<(), CubeError> {
+    fn line(&mut self, idx: usize, line: &[u8]) -> Result<(), CubeError> {
         let Some(row) = parse_line(idx, line)? else {
             return Ok(());
         };
@@ -196,7 +204,7 @@ pub struct PatternStream<R: Read> {
     // so `EINTR` storms are absorbed at the syscall boundary with a
     // bounded budget instead of aborting (or looping) mid-window.
     reader: BufReader<RetryReader<R>>,
-    buf: String,
+    buf: Vec<u8>,
     next_line: usize,
     width: Option<usize>,
     cubes_read: usize,
@@ -208,7 +216,7 @@ impl<R: Read> PatternStream<R> {
     pub fn new(reader: R) -> PatternStream<R> {
         PatternStream {
             reader: BufReader::new(RetryReader::new(reader)),
-            buf: String::new(),
+            buf: Vec::new(),
             next_line: 0,
             width: None,
             cubes_read: 0,
@@ -250,13 +258,13 @@ impl<R: Read> PatternStream<R> {
         let mut bytes = 0usize;
         while count < max_cubes {
             self.buf.clear();
-            if self.reader.read_line(&mut self.buf)? == 0 {
+            if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
                 break;
             }
             bytes += self.buf.len();
             let idx = self.next_line;
             self.next_line += 1;
-            let Some(row) = parse_line(idx, self.buf.trim_end_matches(['\n', '\r']))? else {
+            let Some(row) = parse_line(idx, &self.buf)? else {
                 continue;
             };
             if let Some(w) = self.width {
@@ -283,17 +291,24 @@ impl<R: Read> PatternStream<R> {
     }
 }
 
-/// Incremental pattern emission: writes header lines and cubes **one at
-/// a time**, so filled patterns leave the process as each window of the
-/// streaming pipeline retires — no full-set `String` is ever buffered.
+/// The emit buffer's drain threshold. Rendered lines leave for the
+/// writer once this many bytes are pending, so the buffer holds at most
+/// one chunk plus one line whatever the size of a set or window.
+const EMIT_CHUNK: usize = 64 * 1024;
+
+/// Incremental pattern emission: filled patterns leave the process as
+/// each window of the streaming pipeline retires — no full-set buffer
+/// is ever built.
 ///
-/// All methods surface the writer's I/O errors (callers in the pattern
-/// pipeline wrap them as [`PatternError::Io`]); a broken pipe therefore
-/// aborts the stream at the offending cube instead of panicking. Each
-/// line is rendered into a reused buffer and pushed through the bounded
-/// retry policy in [`crate::retry`], so short writes and `EINTR` storms
-/// up to the budget are absorbed instead of surfacing as spurious
-/// failures.
+/// Rows are rendered by the plane→ASCII kernel
+/// ([`PackedBits::append_pattern_ascii`]) into one reused byte buffer,
+/// which is handed to the writer every [`EMIT_CHUNK`] bytes and at the
+/// end of every [`PatternWriter::header`] and [`PatternWriter::set`]
+/// call, so nothing stays pending between calls. Each hand-off goes
+/// through the bounded retry policy in [`crate::retry`]: short writes
+/// and `EINTR` storms up to the budget are absorbed, and any other
+/// error (a broken pipe, say) surfaces from the call that hit it —
+/// callers in the pattern pipeline wrap it as [`PatternError::Io`].
 ///
 /// ```
 /// use dpfill_cubes::format::{parse_patterns, PatternWriter};
@@ -308,7 +323,8 @@ impl<R: Read> PatternStream<R> {
 /// ```
 pub struct PatternWriter<W: Write> {
     writer: W,
-    line: Vec<u8>,
+    /// Rendered bytes not yet handed to `writer`; empty between calls.
+    buf: Vec<u8>,
 }
 
 impl<W: Write> PatternWriter<W> {
@@ -316,14 +332,19 @@ impl<W: Write> PatternWriter<W> {
     pub fn new(writer: W) -> PatternWriter<W> {
         PatternWriter {
             writer,
-            line: Vec::new(),
+            buf: Vec::new(),
         }
     }
 
-    /// Pushes the rendered line buffer through the bounded retry
-    /// policy: short writes loop, `EINTR` is absorbed up to the budget.
-    fn emit(&mut self) -> io::Result<()> {
-        retry::write_all(&mut self.writer, &self.line)
+    /// Hands the pending bytes to the writer through the bounded retry
+    /// policy and empties the buffer.
+    fn drain(&mut self) -> io::Result<()> {
+        let result = retry::write_all(&mut self.writer, &self.buf);
+        if result.is_ok() {
+            EMIT_BYTES.add(self.buf.len() as u64);
+        }
+        self.buf.clear();
+        result
     }
 
     /// Writes a (possibly multi-line) header comment.
@@ -332,36 +353,33 @@ impl<W: Write> PatternWriter<W> {
     ///
     /// Propagates the writer's I/O error.
     pub fn header(&mut self, header: &str) -> io::Result<()> {
-        self.line.clear();
         for line in header.lines() {
             // Rendering into the in-memory buffer cannot fail; the
             // fallible step is the single retried write below.
-            let _ = writeln!(self.line, "# {line}");
+            let _ = writeln!(self.buf, "# {line}");
         }
-        self.emit()
+        self.drain()
     }
 
-    /// Writes one cube as a `01X` line, straight off its packed planes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the writer's I/O error.
-    pub fn cube(&mut self, cube: &PackedBits) -> io::Result<()> {
-        EMIT_CUBES.add(1);
-        self.line.clear();
-        let _ = writeln!(self.line, "{cube}");
-        self.emit()
-    }
-
-    /// Writes every cube of a set (one retired window, say).
+    /// Writes every cube of a set (one retired window, say) as `01X`
+    /// lines, straight off the packed planes.
     ///
     /// # Errors
     ///
     /// Propagates the writer's I/O error.
     pub fn set(&mut self, set: &CubeSet) -> io::Result<()> {
+        // Sized once: a line starts below the threshold and adds at most
+        // `width + 1` bytes before the drain check.
+        self.buf.reserve_exact(EMIT_CHUNK + set.width() + 1);
         for cube in set.packed_cubes() {
-            self.cube(cube)?;
+            cube.append_pattern_ascii(&mut self.buf);
+            self.buf.push(b'\n');
+            if self.buf.len() >= EMIT_CHUNK {
+                self.drain()?;
+            }
         }
+        self.drain()?;
+        EMIT_CUBES.add(set.len() as u64);
         Ok(())
     }
 
@@ -391,14 +409,14 @@ impl<W: Write> PatternWriter<W> {
 pub fn read_patterns<R: Read>(reader: R) -> Result<CubeSet, PatternError> {
     let mut reader = BufReader::new(reader);
     let mut builder = PatternBuilder::new();
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     let mut idx = 0usize;
     loop {
         buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
+        if reader.read_until(b'\n', &mut buf)? == 0 {
             break;
         }
-        builder.line(idx, buf.trim_end_matches(['\n', '\r']))?;
+        builder.line(idx, &buf)?;
         idx += 1;
     }
     Ok(builder.finish())
@@ -413,7 +431,7 @@ pub fn read_patterns<R: Read>(reader: R) -> Result<CubeSet, PatternError> {
 pub fn parse_patterns(text: &str) -> Result<CubeSet, CubeError> {
     let mut builder = PatternBuilder::new();
     for (idx, line) in text.lines().enumerate() {
-        builder.line(idx, line)?;
+        builder.line(idx, line.as_bytes())?;
     }
     Ok(builder.finish())
 }
@@ -477,21 +495,16 @@ pub fn write_patterns<W: Write>(writer: W, set: &CubeSet, header: Option<&str>) 
     w.finish().map(drop)
 }
 
-/// Renders a cube set to a pattern-format string. Formats straight into
-/// the `String` (writes to memory cannot fail, so this stays panic-free
-/// without an `expect`).
+/// Renders a cube set to a pattern-format string, through the same
+/// [`PatternWriter`] as [`write_patterns`].
 pub fn patterns_to_string(set: &CubeSet, header: Option<&str>) -> String {
-    use fmt::Write as _;
-    let mut out = String::new();
-    if let Some(h) = header {
-        for line in h.lines() {
-            let _ = writeln!(out, "# {line}");
-        }
-    }
-    for cube in set.packed_cubes() {
-        let _ = writeln!(out, "{cube}");
-    }
-    out
+    let mut out = Vec::with_capacity(set.len().saturating_mul(set.width() + 1));
+    // Writes to memory cannot fail, so this stays panic-free without an
+    // `expect`.
+    let _ = write_patterns(&mut out, set, header);
+    // Rows are ASCII and the header came in as `str`, so the lossy
+    // branch never runs.
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]
@@ -657,8 +670,8 @@ mod tests {
         let mut buf = Vec::new();
         let mut w = PatternWriter::new(&mut buf);
         w.header("line a\nline b").unwrap();
-        for cube in set.packed_cubes() {
-            w.cube(cube).unwrap();
+        for window in [&["0X1X", "1XX0"][..], &["XXXX"][..]] {
+            w.set(&CubeSet::parse_rows(window).unwrap()).unwrap();
         }
         w.finish().unwrap();
         assert_eq!(
@@ -673,6 +686,7 @@ mod tests {
         // writer must surface the error at the offending cube, and the
         // pattern pipeline wraps it as PatternError::Io.
         struct BrokenPipe {
+            accepted: Vec<u8>,
             remaining: usize,
         }
         impl Write for BrokenPipe {
@@ -682,6 +696,7 @@ mod tests {
                 }
                 let n = buf.len().min(self.remaining);
                 self.remaining -= n;
+                self.accepted.extend_from_slice(&buf[..n]);
                 Ok(n)
             }
             fn flush(&mut self) -> io::Result<()> {
@@ -689,13 +704,66 @@ mod tests {
             }
         }
         let set = CubeSet::parse_rows(&["0X1X", "1XX0"]).unwrap();
-        let mut w = PatternWriter::new(BrokenPipe { remaining: 10 });
+        let mut w = PatternWriter::new(BrokenPipe {
+            accepted: Vec::new(),
+            remaining: 10,
+        });
         w.header("header!").unwrap(); // "# header!\n" is exactly 10 bytes
         let err = w.set(&set).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
         let wrapped = PatternError::from(err);
         assert!(matches!(wrapped, PatternError::Io(_)));
         assert!(wrapped.to_string().contains("pipe closed"), "{wrapped}");
+
+        // A break in the middle of a later chunk of one large set: the
+        // chunks before it arrive whole, and set() still reports the
+        // pipe's error kind.
+        let rows = vec!["01X".repeat(100); 1000];
+        let rows: Vec<&str> = rows.iter().map(String::as_str).collect();
+        let set = CubeSet::parse_rows(&rows).unwrap();
+        let want = patterns_to_string(&set, None);
+        assert!(want.len() > 4 * EMIT_CHUNK);
+        let cut = 2 * EMIT_CHUNK + EMIT_CHUNK / 2;
+        let mut w = PatternWriter::new(BrokenPipe {
+            accepted: Vec::new(),
+            remaining: cut,
+        });
+        let err = w.set(&set).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        assert_eq!(w.writer.accepted, want.as_bytes()[..cut]);
+    }
+
+    #[test]
+    fn pattern_writer_buffer_stays_one_chunk_plus_one_line() {
+        let (cubes, width) = (16384, 2048);
+        let mut set = CubeSet::new(width);
+        for _ in 0..cubes {
+            set.push_packed(PackedBits::all_x(width)).unwrap();
+        }
+        let mut w = PatternWriter::new(io::sink());
+        w.set(&set).unwrap();
+        assert!(w.buf.is_empty());
+        assert!(
+            w.buf.capacity() <= EMIT_CHUNK + width + 1,
+            "capacity {} after a {cubes} x {width} set",
+            w.buf.capacity()
+        );
+    }
+
+    #[test]
+    fn non_utf8_bytes_are_a_parse_error_at_their_line() {
+        let text: &[u8] = b"0X1\n1\xff0\n";
+        let expect = |e: PatternError| match e {
+            PatternError::Cube(CubeError::ParseLine { line, message }) => {
+                assert_eq!(line, 2);
+                assert_eq!(message, "invalid pattern byte 0xFF (not UTF-8)");
+            }
+            other => panic!("expected ParseLine at line 2, got {other:?}"),
+        };
+        expect(read_patterns(text).unwrap_err());
+        let mut stream = PatternStream::new(text);
+        assert!(stream.next_window(1).unwrap().is_some());
+        expect(stream.next_window(1).unwrap_err());
     }
 
     #[test]

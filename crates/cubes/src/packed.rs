@@ -133,6 +133,61 @@ impl PackedBits {
         Ok(row)
     }
 
+    /// Appends the row as `01X` ASCII (no newline) — the emit kernel,
+    /// the inverse of [`PackedBits::from_pattern_ascii`]. A 256-entry
+    /// table spreads one care byte and one value byte into eight byte
+    /// lanes, which blend branchlessly into `care ? 0x30 | v : 0x58`, so
+    /// each group of 8 pins is one `u64` store; a partial last group
+    /// stores only its live bytes. The per-char [`Display`] rendering is
+    /// kept as the differential oracle.
+    ///
+    /// [`Display`]: std::fmt::Display
+    pub fn append_pattern_ascii(&self, out: &mut Vec<u8>) {
+        /// Bit `i` of the index → byte `i` (little-endian) set to 1.
+        const SPREAD: [u64; 256] = {
+            let mut t = [0u64; 256];
+            let mut b = 0;
+            while b < 256 {
+                let mut i = 0;
+                while i < 8 {
+                    t[b] |= ((b as u64 >> i) & 1) << (8 * i);
+                    i += 1;
+                }
+                b += 1;
+            }
+            t
+        };
+        const ZEROS: u64 = u64::from_le_bytes([b'0'; 8]);
+        const XS: u64 = u64::from_le_bytes([b'X'; 8]);
+        #[inline]
+        fn group(care: u64, val: u64) -> [u8; 8] {
+            // Each spread lane is 0 or 1, so `* 0xFF` widens it to a
+            // 0x00/0xFF lane mask without carries.
+            let care_mask = SPREAD[(care & 0xFF) as usize] * 0xFF;
+            let digits = ZEROS | SPREAD[(val & 0xFF) as usize];
+            (digits & care_mask | XS & !care_mask).to_le_bytes()
+        }
+
+        let start = out.len();
+        out.resize(start + self.len, 0);
+        for (chunk, (&care, &val)) in out[start..]
+            .chunks_mut(WORD)
+            .zip(self.care.iter().zip(&self.val))
+        {
+            let mut groups = chunk.chunks_exact_mut(8);
+            let mut shift = 0;
+            for lanes in &mut groups {
+                lanes.copy_from_slice(&group(care >> shift, val >> shift));
+                shift += 8;
+            }
+            let tail = groups.into_remainder();
+            if !tail.is_empty() {
+                let n = tail.len();
+                tail.copy_from_slice(&group(care >> shift, val >> shift)[..n]);
+            }
+        }
+    }
+
     /// Packs a scalar bit slice.
     pub fn from_bits(bits: &[Bit]) -> PackedBits {
         let mut p = PackedBits::all_x(bits.len());
@@ -720,9 +775,10 @@ impl Iterator for AdjacentConflicts<'_> {
 }
 
 impl std::fmt::Display for PackedBits {
-    /// Renders the row as a `01X` string straight from the planes (no
-    /// scalar materialization; one `write_char` per bit, no per-char
-    /// formatting machinery).
+    /// Renders the row as a `01X` string straight from the planes, one
+    /// `write_char` per bit. Pattern emission uses
+    /// [`PackedBits::append_pattern_ascii`]; this is its differential
+    /// oracle.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         use std::fmt::Write as _;
         for i in 0..self.len {
