@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use dpfill_atpg::{fault_list, generate_tests, AtpgConfig, FaultSimulator, Podem};
 use dpfill_circuits::itc99;
 use dpfill_core::bcp::BcpInstance;
-use dpfill_core::fill::{DpFill, DpMode, FillStrategy, MtFill};
+use dpfill_core::fill::{DpFill, DpMode, FillStrategy, MtFill, ZeroFill};
 use dpfill_core::Interval;
 use dpfill_cubes::format::{
     parse_patterns, parse_patterns_scalar, patterns_to_string, read_patterns, write_patterns,
@@ -137,6 +137,30 @@ fn bench_emit(c: &mut Criterion) {
     group.finish();
 }
 
+/// The row store: parse, clone + drop, and `ZeroFill` on a tall narrow
+/// set (524288 × 16, rows held inline) and a wide one (16384 × 2048, one
+/// heap block per row). Each row also drops what it built, so it times
+/// the allocator traffic a set's rows cause along with the word work.
+fn bench_rows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rows");
+    group.sample_size(10);
+    for (cubes, width) in [(524288usize, 16usize), (16384, 2048)] {
+        let set = random_cube_set(width, cubes, 0.5, 0x5E75);
+        let text = patterns_to_string(&set, None);
+        let shape = format!("{cubes}x{width}");
+        group.bench_function(format!("parse/{shape}"), |b| {
+            b.iter(|| criterion::black_box(parse_patterns(&text).unwrap().len()))
+        });
+        group.bench_function(format!("clone_drop/{shape}"), |b| {
+            b.iter(|| criterion::black_box(set.clone().len()))
+        });
+        group.bench_function(format!("zero_fill/{shape}"), |b| {
+            b.iter(|| criterion::black_box(ZeroFill.fill(&set).len()))
+        });
+    }
+    group.finish();
+}
+
 fn random_instance(colors: usize, k: usize, seed: u64) -> BcpInstance {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut inst = BcpInstance::new(colors);
@@ -246,6 +270,7 @@ criterion_group!(
     bench_packed_kernels,
     bench_parse,
     bench_emit,
+    bench_rows,
     bench_bcp,
     bench_dp_fill_ablation,
     bench_atpg,

@@ -45,7 +45,24 @@ fn tail_mask(len: usize) -> u64 {
     }
 }
 
+/// The plane store of one row. Which variant holds the planes is a
+/// function of the row's `len` alone, so the derived equality and hash
+/// stay structural.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Planes {
+    /// `len <= 64`: the care word and the value word, no heap block.
+    Inline([u64; 2]),
+    /// `len > 64`: the care words, then the value words, in one
+    /// exact-size block.
+    Heap(Box<[u64]>),
+}
+
 /// A packed vector of three-valued bits: a care plane and a value plane.
+///
+/// A row is 32 bytes. Rows of up to 64 positions keep both plane words
+/// inline; wider rows keep both planes in one heap block of
+/// `2 · ⌈len/64⌉` words, so building, cloning or dropping a row costs at
+/// most one allocation.
 ///
 /// # Example
 ///
@@ -58,31 +75,60 @@ fn tail_mask(len: usize) -> u64 {
 /// assert_eq!(row.x_count(), 2);
 /// assert_eq!(row.get(3), Bit::One);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct PackedBits {
     len: usize,
-    care: Vec<u64>,
-    val: Vec<u64>,
+    planes: Planes,
+}
+
+impl Default for PackedBits {
+    fn default() -> PackedBits {
+        PackedBits::all_x(0)
+    }
+}
+
+impl std::fmt::Debug for PackedBits {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedBits")
+            .field("len", &self.len)
+            .field("care", &self.care_words())
+            .field("val", &self.value_words())
+            .finish()
+    }
 }
 
 impl PackedBits {
     /// An all-`X` vector of `len` bits.
     pub fn all_x(len: usize) -> PackedBits {
-        PackedBits {
-            len,
-            care: vec![0; words_for(len)],
-            val: vec![0; words_for(len)],
+        let planes = if len <= WORD {
+            Planes::Inline([0; 2])
+        } else {
+            Planes::Heap(vec![0; 2 * words_for(len)].into_boxed_slice())
+        };
+        PackedBits { len, planes }
+    }
+
+    /// The care and value planes, `⌈len/64⌉` words each.
+    #[inline]
+    fn planes(&self) -> (&[u64], &[u64]) {
+        let n = words_for(self.len);
+        match &self.planes {
+            Planes::Inline(w) => (&w[..n], &w[1..1 + n]),
+            Planes::Heap(b) => b.split_at(n),
         }
     }
 
-    /// An empty vector with plane capacity for `bits` positions, so the
-    /// streaming row kernel ([`PackedBits::from_pattern_ascii`]) never
-    /// reallocates while packing a row of known width.
-    pub fn with_capacity(bits: usize) -> PackedBits {
-        PackedBits {
-            len: 0,
-            care: Vec::with_capacity(words_for(bits)),
-            val: Vec::with_capacity(words_for(bits)),
+    /// Both planes, mutably — the one split borrow every writing kernel
+    /// goes through.
+    #[inline]
+    fn planes_mut(&mut self) -> (&mut [u64], &mut [u64]) {
+        let n = words_for(self.len);
+        match &mut self.planes {
+            Planes::Inline(w) => {
+                let (care, val) = w.split_at_mut(1);
+                (&mut care[..n], &mut val[..n])
+            }
+            Planes::Heap(b) => b.split_at_mut(n),
         }
     }
 
@@ -90,9 +136,10 @@ impl PackedBits {
     /// streaming-parser kernel. A 256-entry table maps each byte to its
     /// `(care, value)` plane bits branchlessly (pattern data is random
     /// `0/1/X`, so a match would mispredict on nearly every byte), and 64
-    /// characters accumulate into two register words before a single push
-    /// per plane. Returns the first byte outside the alphabet as `Err`
-    /// (multi-byte UTF-8 sequences fail on their lead byte).
+    /// characters accumulate into two register words, stored by word
+    /// index into an [`PackedBits::all_x`] row of the text's width.
+    /// Returns the first byte outside the alphabet as `Err` (multi-byte
+    /// UTF-8 sequences fail on their lead byte).
     pub fn from_pattern_ascii(text: &[u8]) -> Result<PackedBits, u8> {
         // Encoding: bit0 = value, bit1 = care, 0xFF = invalid byte.
         const INVALID: u8 = 0xFF;
@@ -105,31 +152,22 @@ impl PackedBits {
             t[b'-' as usize] = 0b00;
             t
         };
-        let mut row = PackedBits::with_capacity(text.len());
-        let mut care_w = 0u64;
-        let mut val_w = 0u64;
-        let mut b = 0u32;
-        for &byte in text {
-            let e = LUT[byte as usize];
-            if e == INVALID {
-                return Err(byte);
+        let mut row = PackedBits::all_x(text.len());
+        let (care, val) = row.planes_mut();
+        for (chunk, (cw, vw)) in text.chunks(WORD).zip(care.iter_mut().zip(val)) {
+            let mut care_w = 0u64;
+            let mut val_w = 0u64;
+            for (b, &byte) in chunk.iter().enumerate() {
+                let e = LUT[byte as usize];
+                if e == INVALID {
+                    return Err(byte);
+                }
+                care_w |= ((e >> 1) as u64) << b;
+                val_w |= ((e & 1) as u64) << b;
             }
-            care_w |= ((e >> 1) as u64) << b;
-            val_w |= ((e & 1) as u64) << b;
-            b += 1;
-            if b == 64 {
-                row.care.push(care_w);
-                row.val.push(val_w);
-                care_w = 0;
-                val_w = 0;
-                b = 0;
-            }
+            *cw = care_w;
+            *vw = val_w;
         }
-        if b > 0 {
-            row.care.push(care_w);
-            row.val.push(val_w);
-        }
-        row.len = text.len();
         Ok(row)
     }
 
@@ -168,11 +206,12 @@ impl PackedBits {
             (digits & care_mask | XS & !care_mask).to_le_bytes()
         }
 
+        let (care_plane, val_plane) = self.planes();
         let start = out.len();
         out.resize(start + self.len, 0);
         for (chunk, (&care, &val)) in out[start..]
             .chunks_mut(WORD)
-            .zip(self.care.iter().zip(&self.val))
+            .zip(care_plane.iter().zip(val_plane))
         {
             let mut groups = chunk.chunks_exact_mut(8);
             let mut shift = 0;
@@ -191,10 +230,8 @@ impl PackedBits {
     /// Packs a scalar bit slice.
     pub fn from_bits(bits: &[Bit]) -> PackedBits {
         let mut p = PackedBits::all_x(bits.len());
-        for (chunk, (cw, vw)) in bits
-            .chunks(WORD)
-            .zip(p.care.iter_mut().zip(p.val.iter_mut()))
-        {
+        let (care, val) = p.planes_mut();
+        for (chunk, (cw, vw)) in bits.chunks(WORD).zip(care.iter_mut().zip(val)) {
             let (c, v) = pack_word(chunk);
             *cw = c;
             *vw = v;
@@ -207,10 +244,11 @@ impl PackedBits {
         // Indexed by (!care << 1 | val): care-1 -> One, care-0 -> Zero,
         // no-care -> X (val is 0 there by canonicality).
         const DECODE: [Bit; 4] = [Bit::Zero, Bit::One, Bit::X, Bit::X];
+        let (care, val) = self.planes();
         let mut out = Vec::with_capacity(self.len);
         for i in 0..self.len {
             let (w, b) = (i / WORD, i % WORD);
-            let key = (!self.care[w] >> b & 1) << 1 | (self.val[w] >> b & 1);
+            let key = (!care[w] >> b & 1) << 1 | (val[w] >> b & 1);
             out.push(DECODE[key as usize]);
         }
         out
@@ -231,13 +269,13 @@ impl PackedBits {
     /// The care plane (bit set ⇔ care position).
     #[inline]
     pub fn care_words(&self) -> &[u64] {
-        &self.care
+        self.planes().0
     }
 
     /// The value plane (`0` wherever the care bit is clear).
     #[inline]
     pub fn value_words(&self) -> &[u64] {
-        &self.val
+        self.planes().1
     }
 
     /// Bit at `i`.
@@ -249,9 +287,10 @@ impl PackedBits {
     pub fn get(&self, i: usize) -> Bit {
         assert!(i < self.len, "bit {i} out of range 0..{}", self.len);
         let (w, b) = (i / WORD, i % WORD);
-        if self.care[w] >> b & 1 == 0 {
+        let (care, val) = self.planes();
+        if care[w] >> b & 1 == 0 {
             Bit::X
-        } else if self.val[w] >> b & 1 == 1 {
+        } else if val[w] >> b & 1 == 1 {
             Bit::One
         } else {
             Bit::Zero
@@ -267,26 +306,16 @@ impl PackedBits {
     pub fn set(&mut self, i: usize, value: Bit) {
         assert!(i < self.len, "bit {i} out of range 0..{}", self.len);
         let (w, b) = (i / WORD, i % WORD);
-        let mask = 1u64 << b;
-        match value {
-            Bit::X => {
-                self.care[w] &= !mask;
-                self.val[w] &= !mask;
-            }
-            Bit::Zero => {
-                self.care[w] |= mask;
-                self.val[w] &= !mask;
-            }
-            Bit::One => {
-                self.care[w] |= mask;
-                self.val[w] |= mask;
-            }
-        }
+        let (care, val) = self.planes_mut();
+        splice_word(&mut care[w], &mut val[w], 1u64 << b, value);
     }
 
     /// Number of care bits (one `popcount` per word).
     pub fn care_count(&self) -> usize {
-        self.care.iter().map(|w| w.count_ones() as usize).sum()
+        self.care_words()
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Number of `X` bits.
@@ -296,7 +325,7 @@ impl PackedBits {
 
     /// Column of the first care bit, if any (`trailing_zeros` hop).
     pub fn first_care(&self) -> Option<usize> {
-        self.care
+        self.care_words()
             .iter()
             .enumerate()
             .find_map(|(w, &cw)| (cw != 0).then(|| w * WORD + cw.trailing_zeros() as usize))
@@ -304,9 +333,13 @@ impl PackedBits {
 
     /// Column of the last care bit, if any (`leading_zeros` hop).
     pub fn last_care(&self) -> Option<usize> {
-        self.care.iter().enumerate().rev().find_map(|(w, &cw)| {
-            (cw != 0).then(|| w * WORD + (WORD - 1 - cw.leading_zeros() as usize))
-        })
+        self.care_words()
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(w, &cw)| {
+                (cw != 0).then(|| w * WORD + (WORD - 1 - cw.leading_zeros() as usize))
+            })
     }
 
     /// First care bit at column `pos` or later, if any — the resumable
@@ -316,32 +349,35 @@ impl PackedBits {
     /// `pos` (mask splices of already-classified stretches) without
     /// invalidating anything: each probe re-reads the planes from `pos`.
     pub fn next_care_at_or_after(&self, pos: usize) -> Option<(usize, Bit)> {
+        let (care, val) = self.planes();
         let mut w = pos / WORD;
-        if w >= self.care.len() {
+        if w >= care.len() {
             return None;
         }
-        let mut m = self.care[w] & (u64::MAX << (pos % WORD));
+        let mut m = care[w] & (u64::MAX << (pos % WORD));
         loop {
             if m != 0 {
                 let b = m.trailing_zeros() as usize;
-                let value = Bit::from_bool(self.val[w] >> b & 1 == 1);
+                let value = Bit::from_bool(val[w] >> b & 1 == 1);
                 return Some((w * WORD + b, value));
             }
             w += 1;
-            if w >= self.care.len() {
+            if w >= care.len() {
                 return None;
             }
-            m = self.care[w];
+            m = care[w];
         }
     }
 
     /// Iterates over `(position, value)` of every care bit, skipping `X`
     /// runs in word-sized hops.
     pub fn care_positions(&self) -> CarePositions<'_> {
+        let (care, val) = self.planes();
         CarePositions {
-            bits: self,
+            care,
+            val,
             word: 0,
-            mask: self.care.first().copied().unwrap_or(0),
+            mask: care.first().copied().unwrap_or(0),
         }
     }
 
@@ -380,7 +416,9 @@ impl PackedBits {
             self.len, other.len,
             "hamming distance requires equal widths"
         );
-        kernel.masked_xor_popcount(&self.val, &other.val, &self.care, &other.care)
+        let (care_a, val_a) = self.planes();
+        let (care_b, val_b) = other.planes();
+        kernel.masked_xor_popcount(val_a, val_b, care_a, care_b)
     }
 
     /// Weighted Hamming distance: `Σ weights[i]` over positions `i`
@@ -407,13 +445,7 @@ impl PackedBits {
             });
         }
         let mut total = 0u64;
-        for (w, ((&va, &vb), (&ca, &cb))) in self
-            .val
-            .iter()
-            .zip(&other.val)
-            .zip(self.care.iter().zip(&other.care))
-            .enumerate()
-        {
+        for (w, ((&va, &vb), (&ca, &cb))) in self.plane_pairs(other).enumerate() {
             let mut m = (va ^ vb) & ca & cb;
             while m != 0 {
                 let b = m.trailing_zeros() as usize;
@@ -441,14 +473,22 @@ impl PackedBits {
         }
     }
 
+    /// Word-by-word `((val_a, val_b), (care_a, care_b))` over two rows,
+    /// the walk shared by the pairwise plane kernels.
+    fn plane_pairs<'a>(
+        &'a self,
+        other: &'a PackedBits,
+    ) -> impl Iterator<Item = ((&'a u64, &'a u64), (&'a u64, &'a u64))> {
+        let (care_a, val_a) = self.planes();
+        let (care_b, val_b) = other.planes();
+        val_a.iter().zip(val_b).zip(care_a.iter().zip(care_b))
+    }
+
     /// `true` when no position carries opposite care bits.
     pub fn is_compatible(&self, other: &PackedBits) -> bool {
         self.len == other.len
             && self
-                .val
-                .iter()
-                .zip(&other.val)
-                .zip(self.care.iter().zip(&other.care))
+                .plane_pairs(other)
                 .all(|((&va, &vb), (&ca, &cb))| (va ^ vb) & ca & cb == 0)
     }
 
@@ -475,21 +515,16 @@ impl PackedBits {
         if !self.is_compatible(other) {
             return Ok(None);
         }
-        Ok(Some(PackedBits {
-            len: self.len,
-            care: self
-                .care
-                .iter()
-                .zip(&other.care)
-                .map(|(&a, &b)| a | b)
-                .collect(),
-            val: self
-                .val
-                .iter()
-                .zip(&other.val)
-                .map(|(&a, &b)| a | b)
-                .collect(),
-        }))
+        let mut merged = self.clone();
+        let (care, val) = merged.planes_mut();
+        let (other_care, other_val) = other.planes();
+        for (w, &o) in care.iter_mut().zip(other_care) {
+            *w |= o;
+        }
+        for (w, &o) in val.iter_mut().zip(other_val) {
+            *w |= o;
+        }
+        Ok(Some(merged))
     }
 
     /// `true` when every care bit of `other` is matched by `self` — the
@@ -513,22 +548,18 @@ impl PackedBits {
     pub fn try_is_contained_in(&self, other: &PackedBits) -> Result<bool, CubeError> {
         self.check_width(other)?;
         Ok(self
-            .val
-            .iter()
-            .zip(&other.val)
-            .zip(self.care.iter().zip(&other.care))
+            .plane_pairs(other)
             .all(|((&va, &vb), (&ca, &cb))| cb & !ca == 0 && cb & (va ^ vb) == 0))
     }
 
     /// `true` when no position is `X` (the care plane is all ones over
     /// the live bits).
     pub fn is_fully_specified(&self) -> bool {
-        let n = self.care.len();
+        let care = self.care_words();
         let tail = tail_mask(self.len);
-        self.care
-            .iter()
+        care.iter()
             .enumerate()
-            .all(|(w, &cw)| cw == if w + 1 == n { tail } else { u64::MAX })
+            .all(|(w, &cw)| cw == if w + 1 == care.len() { tail } else { u64::MAX })
     }
 
     /// Overwrites columns `[lo, hi)` with the care value `value` — the
@@ -543,6 +574,7 @@ impl PackedBits {
             return;
         }
         let (first_w, last_w) = (lo / WORD, (hi - 1) / WORD);
+        let (care, val) = self.planes_mut();
         for w in first_w..=last_w {
             let from = if w == first_w { lo % WORD } else { 0 };
             let until = if w == last_w {
@@ -550,21 +582,7 @@ impl PackedBits {
             } else {
                 WORD
             };
-            let mask = span_mask(from, until);
-            match value {
-                Bit::X => {
-                    self.care[w] &= !mask;
-                    self.val[w] &= !mask;
-                }
-                Bit::Zero => {
-                    self.care[w] |= mask;
-                    self.val[w] &= !mask;
-                }
-                Bit::One => {
-                    self.care[w] |= mask;
-                    self.val[w] |= mask;
-                }
-            }
+            splice_word(&mut care[w], &mut val[w], span_mask(from, until), value);
         }
     }
 
@@ -575,8 +593,9 @@ impl PackedBits {
             return;
         };
         let tail = tail_mask(self.len);
-        let n = self.care.len();
-        for (w, (cw, vw)) in self.care.iter_mut().zip(self.val.iter_mut()).enumerate() {
+        let (care, val) = self.planes_mut();
+        let n = care.len();
+        for (w, (cw, vw)) in care.iter_mut().zip(val).enumerate() {
             let live = if w + 1 == n { tail } else { u64::MAX };
             let x = !*cw & live;
             if fill_one {
@@ -591,27 +610,14 @@ impl PackedBits {
     /// `fill_for_word(w)` supplies 64 random bits for word `w`.
     pub fn fill_x_from_words(&mut self, mut fill_for_word: impl FnMut(usize) -> u64) {
         let tail = tail_mask(self.len);
-        let n = self.care.len();
-        for (w, (cw, vw)) in self.care.iter_mut().zip(self.val.iter_mut()).enumerate() {
+        let (care, val) = self.planes_mut();
+        let n = care.len();
+        for (w, (cw, vw)) in care.iter_mut().zip(val).enumerate() {
             let live = if w + 1 == n { tail } else { u64::MAX };
             let x = !*cw & live;
             *vw |= fill_for_word(w) & x;
             *cw |= x;
         }
-    }
-
-    /// Mask of the adjacent care-care conflicts whose left column sits
-    /// in word `w`: bit `b` set ⇔ positions `w*64+b` and `w*64+b+1` hold
-    /// opposite care bits. Canonical tails (zero care past `len`) keep
-    /// phantom transitions out of the mask.
-    #[inline]
-    fn adjacent_conflict_word(&self, w: usize) -> u64 {
-        let n = self.care.len();
-        let carry_c = if w + 1 < n { self.care[w + 1] << 63 } else { 0 };
-        let carry_v = if w + 1 < n { self.val[w + 1] << 63 } else { 0 };
-        let c2 = self.care[w] >> 1 | carry_c;
-        let v2 = self.val[w] >> 1 | carry_v;
-        (self.val[w] ^ v2) & self.care[w] & c2
     }
 
     /// Calls `f(t)` for every transition `t` (between positions `t` and
@@ -622,8 +628,9 @@ impl PackedBits {
         if self.len < 2 {
             return;
         }
-        for w in 0..self.care.len() {
-            let mut m = self.adjacent_conflict_word(w);
+        let (care, val) = self.planes();
+        for w in 0..care.len() {
+            let mut m = adjacent_conflict_word(care, val, w);
             while m != 0 {
                 f(w * WORD + m.trailing_zeros() as usize);
                 m &= m - 1;
@@ -635,13 +642,15 @@ impl PackedBits {
     /// yielding the conflict transitions in ascending order — what the
     /// dense-care stretch scanner merges against its X-run events.
     pub fn adjacent_conflicts(&self) -> AdjacentConflicts<'_> {
+        let (care, val) = self.planes();
         let first = if self.len < 2 {
             0
         } else {
-            self.adjacent_conflict_word(0)
+            adjacent_conflict_word(care, val, 0)
         };
         AdjacentConflicts {
-            bits: self,
+            care,
+            val,
             word: 0,
             mask: first,
         }
@@ -655,8 +664,9 @@ impl PackedBits {
         if self.len < 2 {
             return 0;
         }
-        (0..self.care.len())
-            .map(|w| self.adjacent_conflict_word(w).count_ones() as usize)
+        let (care, val) = self.planes();
+        (0..care.len())
+            .map(|w| adjacent_conflict_word(care, val, w).count_ones() as usize)
             .sum()
     }
 
@@ -669,11 +679,12 @@ impl PackedBits {
         if pos >= self.len {
             return None;
         }
-        let n = self.care.len();
+        let care = self.care_words();
+        let n = care.len();
         let tail = tail_mask(self.len);
         let mut w = pos / WORD;
         let live = |w: usize| if w + 1 == n { tail } else { u64::MAX };
-        let mut m = !self.care[w] & live(w) & (u64::MAX << (pos % WORD));
+        let mut m = !care[w] & live(w) & (u64::MAX << (pos % WORD));
         loop {
             if m != 0 {
                 return Some(w * WORD + m.trailing_zeros() as usize);
@@ -682,7 +693,7 @@ impl PackedBits {
             if w >= n {
                 return None;
             }
-            m = !self.care[w] & live(w);
+            m = !care[w] & live(w);
         }
     }
 
@@ -724,7 +735,8 @@ impl PackedBits {
 /// Iterator over the care positions of a [`PackedBits`].
 #[derive(Clone, Debug)]
 pub struct CarePositions<'a> {
-    bits: &'a PackedBits,
+    care: &'a [u64],
+    val: &'a [u64],
     word: usize,
     mask: u64,
 }
@@ -735,24 +747,39 @@ impl Iterator for CarePositions<'_> {
     fn next(&mut self) -> Option<(usize, Bit)> {
         while self.mask == 0 {
             self.word += 1;
-            if self.word >= self.bits.care.len() {
+            if self.word >= self.care.len() {
                 return None;
             }
-            self.mask = self.bits.care[self.word];
+            self.mask = self.care[self.word];
         }
         let b = self.mask.trailing_zeros() as usize;
         self.mask &= self.mask - 1;
         let pos = self.word * WORD + b;
-        let value = Bit::from_bool(self.bits.val[self.word] >> b & 1 == 1);
+        let value = Bit::from_bool(self.val[self.word] >> b & 1 == 1);
         Some((pos, value))
     }
+}
+
+/// Mask of the adjacent care-care conflicts whose left column sits in
+/// word `w` of the planes: bit `b` set ⇔ positions `w*64+b` and
+/// `w*64+b+1` hold opposite care bits. Canonical tails (zero care past
+/// `len`) keep phantom transitions out of the mask.
+#[inline]
+fn adjacent_conflict_word(care: &[u64], val: &[u64], w: usize) -> u64 {
+    let n = care.len();
+    let carry_c = if w + 1 < n { care[w + 1] << 63 } else { 0 };
+    let carry_v = if w + 1 < n { val[w + 1] << 63 } else { 0 };
+    let c2 = care[w] >> 1 | carry_c;
+    let v2 = val[w] >> 1 | carry_v;
+    (val[w] ^ v2) & care[w] & c2
 }
 
 /// Iterator over the adjacent care-care conflict transitions of a
 /// [`PackedBits`], in ascending column order.
 #[derive(Clone, Debug)]
 pub struct AdjacentConflicts<'a> {
-    bits: &'a PackedBits,
+    care: &'a [u64],
+    val: &'a [u64],
     word: usize,
     mask: u64,
 }
@@ -763,10 +790,10 @@ impl Iterator for AdjacentConflicts<'_> {
     fn next(&mut self) -> Option<usize> {
         while self.mask == 0 {
             self.word += 1;
-            if self.word >= self.bits.care.len() {
+            if self.word >= self.care.len() {
                 return None;
             }
-            self.mask = self.bits.adjacent_conflict_word(self.word);
+            self.mask = adjacent_conflict_word(self.care, self.val, self.word);
         }
         let b = self.mask.trailing_zeros() as usize;
         self.mask &= self.mask - 1;
@@ -781,11 +808,12 @@ impl std::fmt::Display for PackedBits {
     /// oracle.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         use std::fmt::Write as _;
+        let (care, val) = self.planes();
         for i in 0..self.len {
             let (w, b) = (i / WORD, i % WORD);
-            let c = if self.care[w] >> b & 1 == 0 {
+            let c = if care[w] >> b & 1 == 0 {
                 'X'
-            } else if self.val[w] >> b & 1 == 1 {
+            } else if val[w] >> b & 1 == 1 {
                 '1'
             } else {
                 '0'
@@ -1209,9 +1237,9 @@ impl PackedMatrix {
                 let cube_lo = cube_block * WORD;
                 let cube_hi = (cube_lo + WORD).min(cols);
                 for (t, col) in (cube_lo..cube_hi).enumerate() {
-                    let cube = &set.cubes[cube_index(col)];
-                    care_tile[t] = cube.care[pin_block];
-                    val_tile[t] = cube.val[pin_block];
+                    let (care, val) = set.cubes[cube_index(col)].planes();
+                    care_tile[t] = care[pin_block];
+                    val_tile[t] = val[pin_block];
                 }
                 for t in cube_hi - cube_lo..64 {
                     care_tile[t] = 0;
@@ -1222,8 +1250,9 @@ impl PackedMatrix {
                 let pin_lo = pin_block * WORD;
                 let pin_hi = (pin_lo + WORD).min(rows);
                 for (t, pin_idx) in (pin_lo..pin_hi).enumerate() {
-                    m.data[pin_idx].care[cube_block] = care_tile[t];
-                    m.data[pin_idx].val[cube_block] = val_tile[t];
+                    let (care, val) = m.data[pin_idx].planes_mut();
+                    care[cube_block] = care_tile[t];
+                    val[cube_block] = val_tile[t];
                 }
             }
         }
@@ -1245,8 +1274,9 @@ impl PackedMatrix {
                 let pin_lo = pin_block * WORD;
                 let pin_hi = (pin_lo + WORD).min(self.rows);
                 for (t, pin_idx) in (pin_lo..pin_hi).enumerate() {
-                    care_tile[t] = self.data[pin_idx].care[cube_block];
-                    val_tile[t] = self.data[pin_idx].val[cube_block];
+                    let (care, val) = self.data[pin_idx].planes();
+                    care_tile[t] = care[cube_block];
+                    val_tile[t] = val[cube_block];
                 }
                 for t in pin_hi - pin_lo..64 {
                     care_tile[t] = 0;
@@ -1257,8 +1287,9 @@ impl PackedMatrix {
                 let cube_lo = cube_block * WORD;
                 let cube_hi = (cube_lo + WORD).min(self.cols);
                 for (t, cube_idx) in (cube_lo..cube_hi).enumerate() {
-                    set.cubes[cube_idx].care[pin_block] = care_tile[t];
-                    set.cubes[cube_idx].val[pin_block] = val_tile[t];
+                    let (care, val) = set.cubes[cube_idx].planes_mut();
+                    care[pin_block] = care_tile[t];
+                    val[pin_block] = val_tile[t];
                 }
             }
         }
@@ -1355,6 +1386,26 @@ fn span_mask(from: usize, until: usize) -> u64 {
     };
     let lo = (1u64 << from) - 1;
     hi & !lo
+}
+
+/// Writes `value` into the positions of `mask` in one word of each
+/// plane.
+#[inline]
+fn splice_word(care: &mut u64, val: &mut u64, mask: u64, value: Bit) {
+    match value {
+        Bit::X => {
+            *care &= !mask;
+            *val &= !mask;
+        }
+        Bit::Zero => {
+            *care |= mask;
+            *val &= !mask;
+        }
+        Bit::One => {
+            *care |= mask;
+            *val |= mask;
+        }
+    }
 }
 
 #[cfg(test)]
