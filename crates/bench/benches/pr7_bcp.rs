@@ -9,6 +9,12 @@
 //! coloring bytes (pinned by `crates/core/tests/bcp_sharded.rs`); these
 //! rows measure only wall-clock.
 //!
+//! The `solve/tall` row solves the instance DP-fill maps a 524288 × 16
+//! set with 3 care bits per cube to — the shape of the end-to-end
+//! benchmark's `tall-unit` workload (~608k intervals over 524287
+//! colors), generated as `examples/gen_patterns.rs 524288 16 3 7` does.
+//! The mapping is built once, outside the timed loop.
+//!
 //! Run
 //!
 //! ```sh
@@ -23,7 +29,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dpfill_core::bcp::{BcpInstance, BoundMode, ShardSpec, SolveOptions};
-use dpfill_core::Interval;
+use dpfill_core::{Interval, MatrixMapping};
+use dpfill_cubes::format::parse_patterns;
 
 /// `4 * colors` random intervals (mixed spans) plus a light baseline —
 /// ATPG-shaped traffic: most load short-range, a few full-width runs.
@@ -44,6 +51,29 @@ fn random_instance(colors: usize, seed: u64) -> BcpInstance {
     let baseline = (0..colors).map(|_| rng.gen_range(0..3)).collect();
     inst.set_baseline(baseline).expect("matching length");
     inst
+}
+
+/// The pattern text `examples/gen_patterns.rs` writes for `cubes`
+/// cubes of `width` pins with `cares` care bits each under `seed`.
+fn gen_patterns_text(cubes: usize, width: usize, cares: usize, seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut text = String::with_capacity(cubes * (width + 1));
+    let mut row = vec![b'X'; width];
+    let mut touched: Vec<usize> = Vec::with_capacity(cares);
+    for _ in 0..cubes {
+        touched.clear();
+        for _ in 0..cares {
+            let pin = rng.next_u64() as usize % width;
+            row[pin] = if rng.next_u64() & 1 == 0 { b'0' } else { b'1' };
+            touched.push(pin);
+        }
+        text.push_str(std::str::from_utf8(&row).expect("ASCII row"));
+        text.push('\n');
+        for &pin in &touched {
+            row[pin] = b'X';
+        }
+    }
+    text
 }
 
 fn bench_bcp_pr7(c: &mut Criterion) {
@@ -113,6 +143,21 @@ fn bench_bcp_pr7(c: &mut Criterion) {
             })
         });
     }
+
+    // The tall end-to-end shape: one solve of the mapped instance.
+    let tall = parse_patterns(&gen_patterns_text(524_288, 16, 3, 7)).expect("generated patterns");
+    let mapping = MatrixMapping::analyze(&tall);
+    drop(tall);
+    let inst = mapping.instance();
+    group.bench_function("solve/tall", |b| {
+        b.iter(|| {
+            black_box(
+                inst.solve_with(&SolveOptions::default())
+                    .expect("solve")
+                    .lower_bound,
+            )
+        })
+    });
 
     group.finish();
 }

@@ -36,7 +36,8 @@
 //!    window, so the bound state grows with the ladder, not the event
 //!    stream). Every ladder candidate is the density of a real window,
 //!    so `current()` never exceeds the true bound — it is a warm start,
-//!    not an approximation that must be trusted.
+//!    not an approximation that must be trusted. Without a warm start
+//!    the solve builds the same ladder in batch, in O(k + C).
 //! 2. **Parametric certification**: EDF feasibility at peak `P` is
 //!    monotone in `P`, and the minimum feasible `P` *equals* the
 //!    windowed lower bound — infeasibility below the bound is the
@@ -378,6 +379,147 @@ impl IncrementalBound {
     }
 }
 
+/// Interval indices grouped by start color in one flat (CSR) layout:
+/// the intervals starting at color `t` are
+/// `order[offsets[t]..offsets[t + 1]]`, in ascending index order. Two
+/// allocations whatever the color count, filled by one stable counting
+/// sort, and built once per solve.
+struct StartIndex {
+    /// `num_colors + 1` bucket boundaries into `order`.
+    offsets: Vec<u32>,
+    /// Every interval index, grouped by start color.
+    order: Vec<u32>,
+}
+
+impl StartIndex {
+    fn new(intervals: &[Interval], num_colors: usize) -> StartIndex {
+        let mut offsets = vec![0u32; num_colors + 1];
+        for iv in intervals {
+            offsets[iv.start() as usize + 1] += 1;
+        }
+        for t in 0..num_colors {
+            offsets[t + 1] += offsets[t];
+        }
+        // Fill each bucket through its start offset, which leaves
+        // `offsets[t]` at the end of bucket `t`; shifting right by one
+        // restores the starts without a second cursor array.
+        let mut order = vec![0u32; intervals.len()];
+        for (idx, iv) in intervals.iter().enumerate() {
+            let slot = &mut offsets[iv.start() as usize];
+            order[*slot as usize] = idx as u32;
+            *slot += 1;
+        }
+        offsets.copy_within(..num_colors, 1);
+        offsets[0] = 0;
+        StartIndex { offsets, order }
+    }
+
+    /// Indices of the intervals starting at color `t`, ascending.
+    #[inline]
+    fn starting_at(&self, t: usize) -> &[u32] {
+        &self.order[self.offsets[t] as usize..self.offsets[t + 1] as usize]
+    }
+}
+
+/// The batch form of the [`IncrementalBound`] ladder over colors
+/// `0..num_colors`: the best `⌈load / 2^l⌉` over every aligned window
+/// of every level. Interval `i` carries `loads[i]` (missing entries are
+/// unit, [`BcpInstance`]'s lazy representation) and color `t` carries
+/// `baseline[t]` (an empty slice ignores the baseline).
+///
+/// Each load is added once, at its own aligned level, and each level is
+/// then folded into the next by pair sums — O(k + C) in total, one
+/// allocation. A saturating sum of non-negative terms is
+/// `min(sum, u64::MAX)` in any order, so the result equals
+/// [`IncrementalBound::current`] fed the same loads; saturation only
+/// undercounts, keeping every level a valid lower bound.
+fn ladder_best(num_colors: usize, intervals: &[Interval], loads: &[u64], baseline: &[u64]) -> u64 {
+    if num_colors == 0 {
+        return 0;
+    }
+    let top = bitlen(num_colors - 1).min(63);
+    // Level `l` holds windows `0..=(num_colors - 1) >> l`, stored from
+    // `start[l]` in one flat array.
+    let mut start = [0usize; 65];
+    for l in 0..=top {
+        start[l + 1] = start[l] + ((num_colors - 1) >> l) + 1;
+    }
+    let mut counts = vec![0u64; start[top + 1]];
+    for (t, &b) in baseline.iter().enumerate() {
+        counts[t] = counts[t].saturating_add(b);
+    }
+    for (i, iv) in intervals.iter().enumerate() {
+        let l = iv.aligned_level() as usize;
+        let slot = &mut counts[start[l] + (iv.start() as usize >> l)];
+        *slot = slot.saturating_add(loads.get(i).copied().unwrap_or(1));
+    }
+    let mut best = 0u64;
+    for l in 0..=top {
+        let (below, above) = counts.split_at_mut(start[l + 1]);
+        let level = &below[start[l]..];
+        let width = 1u64 << l;
+        best = level.iter().fold(best, |m, &n| m.max(n.div_ceil(width)));
+        if l < top {
+            for (parent, pair) in above.iter_mut().zip(level.chunks(2)) {
+                *parent = pair.iter().fold(*parent, |a, &n| a.saturating_add(n));
+            }
+        }
+    }
+    best
+}
+
+/// The minimum peak at or above `lo` that `feasible` accepts, for a
+/// predicate monotone in the peak: gallop to an infeasible/feasible
+/// bracket, then narrow it with a panel of pivots, one probe per pool
+/// thread. The result is the same whatever the panel width, so it is
+/// deterministic at any thread count. `what` names the bound in the
+/// [`BcpError::Overflow`] reported when no peak in `u64` is feasible.
+fn min_feasible_peak(
+    lo: u64,
+    what: &'static str,
+    feasible: impl Fn(u64) -> bool + Sync,
+) -> Result<u64, BcpError> {
+    if feasible(lo) {
+        // `lo` never exceeds the true bound, and the true bound is the
+        // minimum feasible peak — so feasibility at `lo` pins it.
+        return Ok(lo);
+    }
+    // Gallop to an infeasible/feasible bracket (bad, good].
+    let mut bad = lo;
+    let mut step = 1u64;
+    let mut good;
+    loop {
+        let p = bad.saturating_add(step);
+        if feasible(p) {
+            good = p;
+            break;
+        }
+        if p == u64::MAX {
+            return Err(BcpError::Overflow { what });
+        }
+        bad = p;
+        step = step.saturating_mul(2);
+    }
+    while good - bad > 1 {
+        let gap = good - bad - 1;
+        let m = (minipool::current_threads().max(1) as u64).min(gap).min(16);
+        let pivots: Vec<u64> = (1..=m)
+            .map(|i| bad + ((good - bad) as u128 * i as u128 / (m + 1) as u128) as u64)
+            .collect();
+        let feas = minipool::parallel_indexed(pivots.len(), |i| feasible(pivots[i]));
+        match feas.iter().position(|&f| f) {
+            Some(j) => {
+                good = pivots[j];
+                if j > 0 {
+                    bad = pivots[j - 1];
+                }
+            }
+            None => bad = pivots[m as usize - 1],
+        }
+    }
+    Ok(good)
+}
+
 /// The EDF sweep over colors `range`, carrying the pending-deadline
 /// heap in and out (so shards and probes replay exactly the serial
 /// sweep from any seam). At each color: push the intervals starting
@@ -390,14 +532,14 @@ impl IncrementalBound {
 /// identically to the heap the serial sweep would hold at that seam.
 fn edf_span<F: Fn(usize) -> u64>(
     intervals: &[Interval],
-    by_start: &[Vec<u32>],
+    index: &StartIndex,
     range: Range<usize>,
     heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
     capacity: &F,
     mut place: impl FnMut(u32, u32),
 ) -> Result<(), u32> {
     for t in range {
-        for &idx in &by_start[t] {
+        for &idx in index.starting_at(t) {
             heap.push(Reverse((intervals[idx as usize].end(), idx)));
         }
         let quota = capacity(t);
@@ -441,14 +583,14 @@ fn edf_span<F: Fn(usize) -> u64>(
 fn edf_span_weighted<F: Fn(usize) -> u64>(
     intervals: &[Interval],
     loads: &[u64],
-    by_start: &[Vec<u32>],
+    index: &StartIndex,
     range: Range<usize>,
     heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
     capacity: &F,
     mut place: impl FnMut(u32, u32),
 ) -> Result<(), u32> {
     for t in range {
-        for &idx in &by_start[t] {
+        for &idx in index.starting_at(t) {
             heap.push(Reverse((intervals[idx as usize].end(), idx)));
         }
         let quota = capacity(t);
@@ -673,7 +815,7 @@ impl BcpInstance {
     ///
     /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`.
     pub fn lower_bound_paper(&self) -> Result<u64, BcpError> {
-        self.certified_bound(false, None)
+        self.certified_bound(false, None, &self.start_index())
     }
 
     /// Generalized lower bound for the true objective
@@ -691,10 +833,11 @@ impl BcpInstance {
     /// though the integral weighted optimum may exceed it (the problem
     /// is NP-hard).
     pub fn lower_bound(&self) -> Result<u64, BcpError> {
+        let index = self.start_index();
         if self.is_unit() {
-            self.certified_bound(true, None)
+            self.certified_bound(true, None, &index)
         } else {
-            self.certified_bound_weighted(None)
+            self.certified_bound_weighted(None, &index)
         }
     }
 
@@ -919,24 +1062,20 @@ impl BcpInstance {
         Ok(best)
     }
 
-    /// Indices of intervals grouped by start color.
-    fn by_start(&self) -> Vec<Vec<u32>> {
-        let mut by_start: Vec<Vec<u32>> = vec![Vec::new(); self.num_colors];
-        for (idx, iv) in self.intervals.iter().enumerate() {
-            by_start[iv.start() as usize].push(idx as u32);
-        }
-        by_start
+    /// The flat start index of this instance's intervals.
+    fn start_index(&self) -> StartIndex {
+        StartIndex::new(&self.intervals, self.num_colors)
     }
 
     /// Can every interval be placed with peak `peak`? One EDF sweep,
     /// O(C + k log k); monotone in `peak`.
-    fn probe_feasible(&self, by_start: &[Vec<u32>], peak: u64, with_baseline: bool) -> bool {
+    fn probe_feasible(&self, index: &StartIndex, peak: u64, with_baseline: bool) -> bool {
         BCP_PROBES.add(1);
         let mut heap = BinaryHeap::with_capacity(self.intervals.len());
         let placed = if with_baseline {
             edf_span(
                 &self.intervals,
-                by_start,
+                index,
                 0..self.num_colors,
                 &mut heap,
                 &|t| peak.saturating_sub(self.baseline[t]),
@@ -945,7 +1084,7 @@ impl BcpInstance {
         } else {
             edf_span(
                 &self.intervals,
-                by_start,
+                index,
                 0..self.num_colors,
                 &mut heap,
                 &|_| peak,
@@ -955,36 +1094,6 @@ impl BcpInstance {
         placed.is_ok() && heap.is_empty()
     }
 
-    /// The batch form of the [`IncrementalBound`] ladder: each
-    /// power-of-two level chunks the color range into aligned windows,
-    /// per-level maxima are computed in parallel on the current pool and
-    /// merged by `max`. O(k log C + C log C) work, valid (never above
-    /// the true bound) by the same window-density argument.
-    fn ladder_best(&self, with_baseline: bool) -> u64 {
-        let c = self.num_colors;
-        if c == 0 {
-            return 0;
-        }
-        let top = bitlen(c - 1).min(63);
-        let maxima = minipool::parallel_indexed(top + 1, |l| {
-            let mut counts = vec![0u64; ((c - 1) >> l) + 1];
-            for iv in &self.intervals {
-                if iv.aligned_level() as usize <= l {
-                    let q = (iv.start() as usize) >> l;
-                    counts[q] = counts[q].saturating_add(1);
-                }
-            }
-            if with_baseline {
-                for (t, &b) in self.baseline.iter().enumerate() {
-                    counts[t >> l] = counts[t >> l].saturating_add(b);
-                }
-            }
-            let width = 1u64 << l;
-            counts.iter().map(|&n| n.div_ceil(width)).max().unwrap_or(0)
-        });
-        maxima.into_iter().max().unwrap_or(0)
-    }
-
     /// The parametric lower-bound engine: start from the best cheap
     /// candidate (`warm` or the ladder, plus the max-baseline and
     /// global-density candidates — all true lower bounds), then find the
@@ -992,70 +1101,29 @@ impl BcpInstance {
     /// one probe per pool thread. That minimum *is* the windowed bound:
     /// below it some window is overfull (pigeonhole), at it EDF
     /// succeeds (Hall). Deterministic at any thread count.
-    fn certified_bound(&self, with_baseline: bool, warm: Option<u64>) -> Result<u64, BcpError> {
+    fn certified_bound(
+        &self,
+        with_baseline: bool,
+        warm: Option<u64>,
+        index: &StartIndex,
+    ) -> Result<u64, BcpError> {
         let c = self.num_colors;
         if c == 0 {
             return Ok(0);
         }
         let k = self.intervals.len() as u64;
+        let baseline: &[u64] = if with_baseline { &self.baseline } else { &[] };
         let mut lo = match warm {
             Some(w) => w,
-            None => self.ladder_best(with_baseline),
+            None => ladder_best(c, &self.intervals, &[], baseline),
         };
-        if with_baseline {
-            lo = lo.max(self.baseline.iter().copied().max().unwrap_or(0));
-            // Saturation undercounts, keeping the candidate a valid bound.
-            let total = self.baseline.iter().fold(k, |a, &b| a.saturating_add(b));
-            lo = lo.max(total.div_ceil(c as u64));
-        } else {
-            lo = lo.max(k.div_ceil(c as u64));
-        }
-        let by_start = self.by_start();
-        if self.probe_feasible(&by_start, lo, with_baseline) {
-            // lo never exceeds the true bound, and the true bound is the
-            // minimum feasible peak — so feasibility at lo pins lo == bound.
-            return Ok(lo);
-        }
-        // Gallop to an infeasible/feasible bracket (bad, good].
-        let mut bad = lo;
-        let mut step = 1u64;
-        let mut good;
-        loop {
-            let p = bad.saturating_add(step);
-            if self.probe_feasible(&by_start, p, with_baseline) {
-                good = p;
-                break;
-            }
-            if p == u64::MAX {
-                return Err(BcpError::Overflow {
-                    what: "BCP lower bound (exceeds u64)",
-                });
-            }
-            bad = p;
-            step = step.saturating_mul(2);
-        }
-        // Narrow with a panel of pivots, one probe per pool thread. The
-        // result is the minimum feasible peak regardless of panel width.
-        while good - bad > 1 {
-            let gap = good - bad - 1;
-            let m = (minipool::current_threads().max(1) as u64).min(gap).min(16);
-            let pivots: Vec<u64> = (1..=m)
-                .map(|i| bad + ((good - bad) as u128 * i as u128 / (m + 1) as u128) as u64)
-                .collect();
-            let feas = minipool::parallel_indexed(pivots.len(), |i| {
-                self.probe_feasible(&by_start, pivots[i], with_baseline)
-            });
-            match feas.iter().position(|&f| f) {
-                Some(j) => {
-                    good = pivots[j];
-                    if j > 0 {
-                        bad = pivots[j - 1];
-                    }
-                }
-                None => bad = pivots[m as usize - 1],
-            }
-        }
-        Ok(good)
+        lo = lo.max(baseline.iter().copied().max().unwrap_or(0));
+        // Saturation undercounts, keeping the candidate a valid bound.
+        let total = baseline.iter().fold(k, |a, &b| a.saturating_add(b));
+        lo = lo.max(total.div_ceil(c as u64));
+        min_feasible_peak(lo, "BCP lower bound (exceeds u64)", |p| {
+            self.probe_feasible(index, p, with_baseline)
+        })
     }
 
     /// Weighted fractional feasibility probe: can every interval's load
@@ -1067,15 +1135,15 @@ impl BcpInstance {
     /// `max(max_t baseline_t, max_{i≤j} ⌈(W[i][j] + B[i][j])/(j−i+1)⌉)`
     /// (Gale–Hoffman on contiguous windows) — a true lower bound for
     /// the integral weighted problem.
-    fn probe_feasible_fractional(&self, by_start: &[Vec<u32>], peak: u64) -> bool {
+    fn probe_feasible_fractional(&self, index: &StartIndex, peak: u64) -> bool {
         BCP_PROBES.add(1);
         let mut heap: BinaryHeap<Reverse<(u32, u32)>> =
             BinaryHeap::with_capacity(self.intervals.len());
         let mut remaining: Vec<u64> = (0..self.intervals.len())
             .map(|i| self.interval_load(i))
             .collect();
-        for (t, starts) in by_start.iter().enumerate().take(self.num_colors) {
-            for &idx in starts {
+        for t in 0..self.num_colors {
+            for &idx in index.starting_at(t) {
                 heap.push(Reverse((self.intervals[idx as usize].end(), idx)));
             }
             let mut quota = peak.saturating_sub(self.baseline[t]);
@@ -1109,45 +1177,19 @@ impl BcpInstance {
     /// peak; failure does **not** certify infeasibility (weighted
     /// bottleneck coloring is NP-hard and blocking EDF is a heuristic
     /// above the fractional bound).
-    fn probe_feasible_blocking(&self, by_start: &[Vec<u32>], peak: u64) -> bool {
+    fn probe_feasible_blocking(&self, index: &StartIndex, peak: u64) -> bool {
         BCP_PROBES.add(1);
         let mut heap = BinaryHeap::with_capacity(self.intervals.len());
         let placed = edf_span_weighted(
             &self.intervals,
             &self.loads,
-            by_start,
+            index,
             0..self.num_colors,
             &mut heap,
             &|t| peak.saturating_sub(self.baseline[t]),
             |_, _| {},
         );
         placed.is_ok() && heap.is_empty()
-    }
-
-    /// [`BcpInstance::ladder_best`] with each interval contributing its
-    /// load instead of 1, always baseline-aware. Saturation
-    /// undercounts, keeping every level a valid lower bound.
-    fn ladder_best_weighted(&self) -> u64 {
-        let c = self.num_colors;
-        if c == 0 {
-            return 0;
-        }
-        let top = bitlen(c - 1).min(63);
-        let maxima = minipool::parallel_indexed(top + 1, |l| {
-            let mut counts = vec![0u64; ((c - 1) >> l) + 1];
-            for (i, iv) in self.intervals.iter().enumerate() {
-                if iv.aligned_level() as usize <= l {
-                    let q = (iv.start() as usize) >> l;
-                    counts[q] = counts[q].saturating_add(self.interval_load(i));
-                }
-            }
-            for (t, &b) in self.baseline.iter().enumerate() {
-                counts[t >> l] = counts[t >> l].saturating_add(b);
-            }
-            let width = 1u64 << l;
-            counts.iter().map(|&n| n.div_ceil(width)).max().unwrap_or(0)
-        });
-        maxima.into_iter().max().unwrap_or(0)
     }
 
     /// The weighted parametric lower-bound engine: minimum peak
@@ -1157,12 +1199,17 @@ impl BcpInstance {
     /// is deterministic at any thread count. Warm candidates stay
     /// valid: loads are ≥ 1, so any unit-load bound is below the
     /// weighted bound.
-    fn certified_bound_weighted(&self, warm: Option<u64>) -> Result<u64, BcpError> {
+    fn certified_bound_weighted(
+        &self,
+        warm: Option<u64>,
+        index: &StartIndex,
+    ) -> Result<u64, BcpError> {
         let c = self.num_colors;
         if c == 0 {
             return Ok(0);
         }
-        let mut lo = warm.unwrap_or(0).max(self.ladder_best_weighted());
+        let ladder = ladder_best(c, &self.intervals, &self.loads, &self.baseline);
+        let mut lo = warm.unwrap_or(0).max(ladder);
         lo = lo.max(self.baseline.iter().copied().max().unwrap_or(0));
         // Saturation undercounts, keeping the candidate a valid bound.
         let total = (0..self.intervals.len())
@@ -1173,48 +1220,9 @@ impl BcpInstance {
             .iter()
             .fold(total, |a, &b| a.saturating_add(b));
         lo = lo.max(total.div_ceil(c as u64));
-        let by_start = self.by_start();
-        if self.probe_feasible_fractional(&by_start, lo) {
-            return Ok(lo);
-        }
-        // Gallop to an infeasible/feasible bracket (bad, good].
-        let mut bad = lo;
-        let mut step = 1u64;
-        let mut good;
-        loop {
-            let p = bad.saturating_add(step);
-            if self.probe_feasible_fractional(&by_start, p) {
-                good = p;
-                break;
-            }
-            if p == u64::MAX {
-                return Err(BcpError::Overflow {
-                    what: "weighted BCP lower bound (exceeds u64)",
-                });
-            }
-            bad = p;
-            step = step.saturating_mul(2);
-        }
-        while good - bad > 1 {
-            let gap = good - bad - 1;
-            let m = (minipool::current_threads().max(1) as u64).min(gap).min(16);
-            let pivots: Vec<u64> = (1..=m)
-                .map(|i| bad + ((good - bad) as u128 * i as u128 / (m + 1) as u128) as u64)
-                .collect();
-            let feas = minipool::parallel_indexed(pivots.len(), |i| {
-                self.probe_feasible_fractional(&by_start, pivots[i])
-            });
-            match feas.iter().position(|&f| f) {
-                Some(j) => {
-                    good = pivots[j];
-                    if j > 0 {
-                        bad = pivots[j - 1];
-                    }
-                }
-                None => bad = pivots[m as usize - 1],
-            }
-        }
-        Ok(good)
+        min_feasible_peak(lo, "weighted BCP lower bound (exceeds u64)", |p| {
+            self.probe_feasible_fractional(index, p)
+        })
     }
 
     /// Algorithm 2: earliest-deadline greedy coloring with a per-color
@@ -1226,7 +1234,7 @@ impl BcpInstance {
     /// Returns [`BcpError::Infeasible`] if `lb` is below the true lower
     /// bound (cannot happen when `lb = self.lower_bound_paper()`).
     pub fn color_greedy_paper(&self, lb: u64) -> Result<Coloring, BcpError> {
-        self.color_capacity_sharded(lb, |_t| lb, usize::MAX)
+        self.color_capacity_sharded(lb, |_t| lb, usize::MAX, &self.start_index())
     }
 
     /// Earliest-deadline-first coloring with per-color capacity
@@ -1238,7 +1246,7 @@ impl BcpInstance {
     /// Returns [`BcpError::Infeasible`] when `peak` is below the
     /// generalized lower bound.
     pub fn color_edf(&self, peak: u64) -> Result<Coloring, BcpError> {
-        self.color_capacity_sharded(peak, |t| peak.saturating_sub(self.baseline[t]), usize::MAX)
+        self.color_edf_sharded(peak, usize::MAX)
     }
 
     /// [`BcpInstance::color_edf`] sharded across color windows of
@@ -1250,7 +1258,8 @@ impl BcpInstance {
     /// Returns [`BcpError::Infeasible`] when `peak` is below the
     /// generalized lower bound.
     pub fn color_edf_sharded(&self, peak: u64, shard_width: usize) -> Result<Coloring, BcpError> {
-        self.color_capacity_sharded(peak, |t| peak.saturating_sub(self.baseline[t]), shard_width)
+        let capacity = |t: usize| peak.saturating_sub(self.baseline[t]);
+        self.color_capacity_sharded(peak, capacity, shard_width, &self.start_index())
     }
 
     /// [`BcpInstance::color_greedy_paper`] sharded across color windows
@@ -1265,7 +1274,7 @@ impl BcpInstance {
         lb: u64,
         shard_width: usize,
     ) -> Result<Coloring, BcpError> {
-        self.color_capacity_sharded(lb, |_t| lb, shard_width)
+        self.color_capacity_sharded(lb, |_t| lb, shard_width, &self.start_index())
     }
 
     /// The speculative sharded EDF sweep. Phase 1 runs every shard in
@@ -1283,6 +1292,7 @@ impl BcpInstance {
         attempted: u64,
         capacity: F,
         shard_width: usize,
+        index: &StartIndex,
     ) -> Result<Coloring, BcpError> {
         let c = self.num_colors;
         let k = self.intervals.len();
@@ -1296,13 +1306,12 @@ impl BcpInstance {
         };
         let width = shard_width.max(1);
         let shards = c.div_ceil(width);
-        let by_start = self.by_start();
         if shards <= 1 {
             // Serial reference sweep: one shard spanning all colors.
             let mut heap = BinaryHeap::with_capacity(k);
             edf_span(
                 &self.intervals,
-                &by_start,
+                index,
                 0..c,
                 &mut heap,
                 &capacity,
@@ -1328,7 +1337,7 @@ impl BcpInstance {
             let mut placed = Vec::new();
             let miss = edf_span(
                 &self.intervals,
-                &by_start,
+                index,
                 span,
                 &mut heap,
                 &capacity,
@@ -1360,7 +1369,7 @@ impl BcpInstance {
                 let span = s * width..((s + 1) * width).min(c);
                 edf_span(
                     &self.intervals,
-                    &by_start,
+                    index,
                     span,
                     &mut carry,
                     &capacity,
@@ -1406,6 +1415,17 @@ impl BcpInstance {
         peak: u64,
         shard_width: usize,
     ) -> Result<Coloring, BcpError> {
+        self.color_weighted_indexed(peak, shard_width, &self.start_index())
+    }
+
+    /// [`BcpInstance::color_edf_weighted_sharded`] over a prebuilt
+    /// start index.
+    fn color_weighted_indexed(
+        &self,
+        peak: u64,
+        shard_width: usize,
+        index: &StartIndex,
+    ) -> Result<Coloring, BcpError> {
         let capacity = |t: usize| peak.saturating_sub(self.baseline[t]);
         let c = self.num_colors;
         let k = self.intervals.len();
@@ -1416,13 +1436,12 @@ impl BcpInstance {
         let infeasible = |color: u32| BcpError::Infeasible { peak, color };
         let width = shard_width.max(1);
         let shards = c.div_ceil(width);
-        let by_start = self.by_start();
         if shards <= 1 {
             let mut heap = BinaryHeap::with_capacity(k);
             edf_span_weighted(
                 &self.intervals,
                 &self.loads,
-                &by_start,
+                index,
                 0..c,
                 &mut heap,
                 &capacity,
@@ -1448,7 +1467,7 @@ impl BcpInstance {
             let miss = edf_span_weighted(
                 &self.intervals,
                 &self.loads,
-                &by_start,
+                index,
                 span,
                 &mut heap,
                 &capacity,
@@ -1480,7 +1499,7 @@ impl BcpInstance {
                 edf_span_weighted(
                     &self.intervals,
                     &self.loads,
-                    &by_start,
+                    index,
                     span,
                     &mut carry,
                     &capacity,
@@ -1650,12 +1669,25 @@ impl BcpInstance {
         if !self.is_unit() {
             return self.solve_weighted_with(opts);
         }
-        let lb = match opts.bound {
-            BoundMode::Incremental => self.certified_bound(true, opts.warm_lb)?,
-            BoundMode::QuadraticDp => self.lower_bound_dp(true)?,
+        let (index, lb) = {
+            let _span = minitrace::span("bcp.bound");
+            let index = self.start_index();
+            let lb = match opts.bound {
+                BoundMode::Incremental => self.certified_bound(true, opts.warm_lb, &index)?,
+                BoundMode::QuadraticDp => self.lower_bound_dp(true)?,
+            };
+            (index, lb)
         };
-        let coloring = self.color_edf_sharded(lb, opts.shards.resolve_width(self.num_colors))?;
-        let peak = self.verify(&coloring)?;
+        let coloring = {
+            let _span = minitrace::span("bcp.color");
+            let width = opts.shards.resolve_width(self.num_colors);
+            let capacity = |t: usize| lb.saturating_sub(self.baseline[t]);
+            self.color_capacity_sharded(lb, capacity, width, &index)?
+        };
+        let peak = {
+            let _span = minitrace::span("bcp.verify");
+            self.verify(&coloring)?
+        };
         debug_assert_eq!(peak.with_baseline, lb, "EDF must achieve the bound");
         Ok(BcpSolution {
             coloring,
@@ -1665,65 +1697,33 @@ impl BcpInstance {
     }
 
     /// Weighted solve: certify the fractional windowed bound, find a
-    /// blocking-EDF-feasible peak by deterministic galloping and serial
-    /// bisection (blocking feasibility need not be monotone, so the
-    /// search must not depend on the thread count), color sharded, then
-    /// close any remaining gap with a bounded exact branch-and-bound.
-    /// Weighted bottleneck coloring is NP-hard, so
-    /// `peak == lower_bound` is not guaranteed on instances beyond the
-    /// search budget; inside it the peak is exactly optimal
-    /// (differential-tested against brute force).
+    /// blocking-EDF-feasible peak, color sharded, then close any
+    /// remaining gap with a bounded exact branch-and-bound. Weighted
+    /// bottleneck coloring is NP-hard, so `peak == lower_bound` is not
+    /// guaranteed on instances beyond the search budget; inside it the
+    /// peak is exactly optimal (differential-tested against brute
+    /// force).
     fn solve_weighted_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
-        let lb = match opts.bound {
-            BoundMode::Incremental => self.certified_bound_weighted(opts.warm_lb)?,
-            BoundMode::QuadraticDp => self.lower_bound_dp_weighted()?,
+        let (index, lb) = {
+            let _span = minitrace::span("bcp.bound");
+            let index = self.start_index();
+            let lb = match opts.bound {
+                BoundMode::Incremental => self.certified_bound_weighted(opts.warm_lb, &index)?,
+                BoundMode::QuadraticDp => self.lower_bound_dp_weighted()?,
+            };
+            (index, lb)
         };
-        let by_start = self.by_start();
-        let mut target = lb;
-        if !self.probe_feasible_blocking(&by_start, target) {
-            let mut bad = target;
-            let mut step = 1u64;
-            let mut good;
-            loop {
-                let p = bad.saturating_add(step);
-                if self.probe_feasible_blocking(&by_start, p) {
-                    good = p;
-                    break;
-                }
-                if p == u64::MAX {
-                    return Err(BcpError::Overflow {
-                        what: "weighted BCP peak (exceeds u64)",
-                    });
-                }
-                bad = p;
-                step = step.saturating_mul(2);
-            }
-            // Bisect; the invariant "good is feasible" holds throughout,
-            // so the result is a deterministic achievable peak even if
-            // the predicate has non-monotone pockets.
-            while good - bad > 1 {
-                let mid = bad + (good - bad) / 2;
-                if self.probe_feasible_blocking(&by_start, mid) {
-                    good = mid;
-                } else {
-                    bad = mid;
-                }
-            }
-            target = good;
-        }
-        let width = opts.shards.resolve_width(self.num_colors);
-        let mut coloring = self.color_edf_weighted_sharded(target, width)?;
-        let mut peak = self.verify(&coloring)?;
-        if peak.with_baseline > lb {
-            if let Some(improved) = self.exact_refine(lb, peak.with_baseline) {
-                let improved = Coloring { colors: improved };
-                let improved_peak = self.verify(&improved)?;
-                if improved_peak.with_baseline < peak.with_baseline {
-                    coloring = improved;
-                    peak = improved_peak;
-                }
-            }
-        }
+        let coloring = {
+            let _span = minitrace::span("bcp.color");
+            let target = self.blocking_peak(lb, &index)?;
+            let width = opts.shards.resolve_width(self.num_colors);
+            let greedy = self.color_weighted_indexed(target, width, &index)?;
+            self.exact_refine(lb, greedy)?
+        };
+        let peak = {
+            let _span = minitrace::span("bcp.verify");
+            self.verify(&coloring)?
+        };
         Ok(BcpSolution {
             coloring,
             lower_bound: lb,
@@ -1731,19 +1731,68 @@ impl BcpInstance {
         })
     }
 
+    /// The blocking-EDF-feasible peak the weighted coloring targets:
+    /// `lb` itself when feasible, else found by deterministic galloping
+    /// and serial bisection (blocking feasibility need not be monotone,
+    /// so the search must not depend on the thread count).
+    fn blocking_peak(&self, lb: u64, index: &StartIndex) -> Result<u64, BcpError> {
+        if self.probe_feasible_blocking(index, lb) {
+            return Ok(lb);
+        }
+        let mut bad = lb;
+        let mut step = 1u64;
+        let mut good;
+        loop {
+            let p = bad.saturating_add(step);
+            if self.probe_feasible_blocking(index, p) {
+                good = p;
+                break;
+            }
+            if p == u64::MAX {
+                return Err(BcpError::Overflow {
+                    what: "weighted BCP peak (exceeds u64)",
+                });
+            }
+            bad = p;
+            step = step.saturating_mul(2);
+        }
+        // Bisect; the invariant "good is feasible" holds throughout, so
+        // the result is a deterministic achievable peak even if the
+        // predicate has non-monotone pockets.
+        while good - bad > 1 {
+            let mid = bad + (good - bad) / 2;
+            if self.probe_feasible_blocking(index, mid) {
+                good = mid;
+            } else {
+                bad = mid;
+            }
+        }
+        Ok(good)
+    }
+
     /// Bounded deterministic branch-and-bound over interval placements:
-    /// seeded with `seed_peak` (the greedy result, strict upper bound)
+    /// seeded with the `greedy` coloring's peak (strict upper bound)
     /// and cut off at `lb` (provably optimal when reached). Intervals
     /// are visited tightest-deadline first; the node budget and depth
     /// gate bound worst-case work, so large instances simply keep the
-    /// greedy coloring. Entirely serial — identical at any thread count
-    /// or shard width.
-    fn exact_refine(&self, lb: u64, seed_peak: u64) -> Option<Vec<u32>> {
+    /// greedy coloring. Returns the better of the two colorings (the
+    /// greedy one on ties). Entirely serial — identical at any thread
+    /// count or shard width.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BcpError::Overflow`] when verifying a coloring
+    /// overflows.
+    fn exact_refine(&self, lb: u64, greedy: Coloring) -> Result<Coloring, BcpError> {
         const NODE_BUDGET: u64 = 2_000_000;
         const MAX_DEPTH: usize = 2_000;
         let k = self.intervals.len();
-        if k == 0 || k > MAX_DEPTH || seed_peak <= lb {
-            return None;
+        if k == 0 || k > MAX_DEPTH {
+            return Ok(greedy);
+        }
+        let seed_peak = self.verify(&greedy)?.with_baseline;
+        if seed_peak <= lb {
+            return Ok(greedy);
         }
         let mut order: Vec<u32> = (0..k as u32).collect();
         order.sort_unstable_by_key(|&i| {
@@ -1810,7 +1859,13 @@ impl BcpInstance {
         };
         let start_peak = search.load.iter().copied().max().unwrap_or(0);
         search.dfs(0, start_peak);
-        search.best
+        if let Some(colors) = search.best {
+            let improved = Coloring { colors };
+            if self.verify(&improved)?.with_baseline < seed_peak {
+                return Ok(improved);
+            }
+        }
+        Ok(greedy)
     }
 
     /// Solves with the generalized (baseline-aware) algorithm under the
@@ -1837,12 +1892,13 @@ impl BcpInstance {
     /// propagates [`BcpError::Infeasible`] — which would indicate a
     /// solver bug, as Algorithm 2 always meets the Algorithm 1 bound.
     pub fn solve_paper_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
+        let index = self.start_index();
         let lb = match opts.bound {
-            BoundMode::Incremental => self.certified_bound(false, None)?,
+            BoundMode::Incremental => self.certified_bound(false, None, &index)?,
             BoundMode::QuadraticDp => self.lower_bound_dp(false)?,
         };
-        let coloring =
-            self.color_greedy_paper_sharded(lb, opts.shards.resolve_width(self.num_colors))?;
+        let width = opts.shards.resolve_width(self.num_colors);
+        let coloring = self.color_capacity_sharded(lb, |_t| lb, width, &index)?;
         let peak = self.verify(&coloring)?;
         debug_assert!(
             !self.is_unit() || peak.intervals_only == lb,
@@ -2282,6 +2338,102 @@ mod tests {
         }
         assert!(ladder.current() <= 2);
         assert!(ladder.current() >= 1);
+    }
+
+    /// A seeded instance for the ladder and index differentials: `C` in
+    /// 1..=300, a mix of short and full-width intervals, loads either
+    /// unit or 1..=2^40, and a sparse baseline that is small or near
+    /// `u64::MAX / 3` (so window sums saturate).
+    fn ladder_case(seed: u64) -> (usize, Vec<Interval>, Vec<u64>, Vec<u64>) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let c = 1 + (next() % 300) as usize;
+        let k = (next() % (2 * c as u64 + 1)) as usize;
+        let weighted = seed % 3 == 1;
+        let saturating = seed % 4 == 2;
+        let mut intervals = Vec::with_capacity(k);
+        let mut loads = Vec::new();
+        for _ in 0..k {
+            let s = (next() % c as u64) as u32;
+            let reach = if next() % 8 == 0 { c as u64 } else { 4 };
+            let e = (s as u64 + next() % reach).min(c as u64 - 1) as u32;
+            intervals.push(Interval::new(s, e));
+            if weighted {
+                loads.push(1 + next() % (1 << 40));
+            }
+        }
+        let baseline = (0..c)
+            .map(|_| match next() % 4 {
+                0 if saturating => u64::MAX / 3 - next() % 8,
+                0 => next() % 5,
+                _ => 0,
+            })
+            .collect();
+        (c, intervals, loads, baseline)
+    }
+
+    #[test]
+    fn linear_ladder_matches_the_incremental_ladder() {
+        let mut saturated = 0;
+        for seed in 0..480u64 {
+            let (c, intervals, loads, baseline) = ladder_case(seed);
+            if baseline
+                .iter()
+                .try_fold(0u64, |a, &b| a.checked_add(b))
+                .is_none()
+            {
+                saturated += 1;
+            }
+            let mut ladder = IncrementalBound::new();
+            for (i, iv) in intervals.iter().enumerate() {
+                let w = loads.get(i).copied().unwrap_or(1);
+                ladder.add_load(iv.start() as usize, iv.end() as usize, w);
+            }
+            for (t, &b) in baseline.iter().enumerate() {
+                ladder.add_baseline(t, b);
+            }
+            assert_eq!(
+                ladder_best(c, &intervals, &loads, &baseline),
+                ladder.current(),
+                "seed {seed}: {c} colors, {} intervals",
+                intervals.len()
+            );
+            // Without the baseline, the unit ladder is the interval-only
+            // incremental ladder.
+            let mut unit = IncrementalBound::new();
+            for iv in &intervals {
+                unit.add_interval(*iv);
+            }
+            unit.add_baseline(c - 1, 0);
+            assert_eq!(
+                ladder_best(c, &intervals, &[], &[]),
+                unit.current(),
+                "seed {seed}"
+            );
+        }
+        assert!(saturated >= 40, "only {saturated} instances saturate");
+        assert_eq!(ladder_best(0, &[], &[], &[]), 0);
+    }
+
+    #[test]
+    fn start_index_lists_each_colors_intervals_in_ascending_order() {
+        for seed in 0..480u64 {
+            let (c, intervals, _, _) = ladder_case(seed);
+            let index = StartIndex::new(&intervals, c);
+            for t in 0..c {
+                let expect: Vec<u32> = (0..intervals.len() as u32)
+                    .filter(|&i| intervals[i as usize].start() as usize == t)
+                    .collect();
+                assert_eq!(index.starting_at(t), expect, "seed {seed} color {t}");
+            }
+            assert_eq!(index.order.len(), intervals.len());
+        }
+        assert!(StartIndex::new(&[], 0).order.is_empty());
     }
 
     #[test]

@@ -176,6 +176,31 @@ fn trace_file_is_wellformed_jsonl_with_balanced_spans() {
 }
 
 #[test]
+fn monolithic_trace_splits_the_solve_into_bound_color_and_verify() {
+    // One weight per pin of INPUT, so the weighted run takes the
+    // weighted solve path.
+    let weights = Scratch::new("solve-phases-weights.txt");
+    std::fs::write(&weights.0, "3\n1\n4\n1\n5\n9\n2\n6\n5\n3\n").expect("weights written");
+    let weighted = ["--objective", "weighted", "--weights", weights.as_str()];
+    for objective in [&[][..], &weighted[..]] {
+        let trace = Scratch::new(&format!("solve-phases-{}.jsonl", objective.len()));
+        let mut args = vec!["--fill", "dp", "--order", "keep", "--trace", trace.as_str()];
+        args.extend_from_slice(objective);
+        let (_, stderr, ok) = run_xfill(&args, INPUT);
+        assert!(ok, "{args:?}: {stderr}");
+        let text = std::fs::read_to_string(&trace.0).expect("trace written");
+        for name in ["bcp.solve", "bcp.bound", "bcp.color", "bcp.verify"] {
+            assert!(
+                text.contains(&format!("\"name\":\"{name}\"")),
+                "{name} missing from the {args:?} trace"
+            );
+        }
+        let unit = format!("\"unit\":{}", u8::from(objective.is_empty()));
+        assert!(text.contains(&unit), "{args:?} solved the wrong path");
+    }
+}
+
+#[test]
 fn stats_json_is_a_machine_readable_superset_of_stats() {
     let json_path = Scratch::new("stats.json");
     let (_, stderr, ok) = run_xfill(
