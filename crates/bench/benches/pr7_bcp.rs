@@ -1,13 +1,15 @@
 //! The PR-7 acceptance benchmark: the incremental (parametric) BCP
-//! lower bound and the sharded EDF coloring against the retained serial
-//! O(C²) DP path, at C ∈ {1k, 16k, 128k} colors.
+//! lower bound against the retained O(C²) DP reference, the serial EDF
+//! coloring, and the whole solve, at C ∈ {1k, 16k, 128k} colors.
 //!
 //! The quadratic DP rows stop at 16k (one 128k iteration alone runs for
 //! minutes); comparing the 1k → 16k growth ratios shows the scaling gap
 //! — ~256× for the DP against near-linear for the parametric bound.
-//! Every configuration certifies the same bound and produces the same
-//! coloring bytes (pinned by `crates/core/tests/bcp_sharded.rs`); these
-//! rows measure only wall-clock.
+//! Both engines certify the same bound at every thread count (pinned by
+//! `crates/core/tests/bcp_differential.rs`); these rows measure only
+//! wall-clock. The sharded-coloring rows of the committed
+//! `BENCH_pr7.json` (`color/sharded_w*`, `solve/auto/pool8`) have no
+//! code left to run; the surviving row ids are unchanged.
 //!
 //! The `solve/tall` row solves the instance DP-fill maps a 524288 × 16
 //! set with 3 care bits per cube to — the shape of the end-to-end
@@ -28,7 +30,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dpfill_core::bcp::{BcpInstance, BoundMode, ShardSpec, SolveOptions};
+use dpfill_core::bcp::{BcpInstance, SolveOptions};
 use dpfill_core::{Interval, MatrixMapping};
 use dpfill_cubes::format::parse_patterns;
 
@@ -95,52 +97,22 @@ fn bench_bcp_pr7(c: &mut Criterion) {
                 b.iter(|| black_box(inst.lower_bound().expect("bound")))
             })
         });
-        // The retained O(C²) DP path, behind its flag — 128k omitted
-        // (minutes per iteration; the 1k → 16k ratio tells the story).
+        // The retained O(C²) DP reference — 128k omitted (minutes per
+        // iteration; the 1k → 16k ratio tells the story).
         if colors <= 16_000 {
             group.bench_function(format!("lower_bound/quadratic_dp/c{colors}"), |b| {
                 b.iter(|| black_box(inst.lower_bound_dp(true).expect("bound")))
             });
         }
 
-        // Coloring: serial EDF vs the sharded seam-merge pass.
+        // Coloring: the one serial EDF sweep.
         group.bench_function(format!("color/serial/c{colors}"), |b| {
             b.iter(|| black_box(inst.color_edf(lb).expect("feasible").colors().len()))
         });
-        for width in [64usize, 4096] {
-            group.bench_function(format!("color/sharded_w{width}/pool8/c{colors}"), |b| {
-                minipool::with_pool(&pool, || {
-                    b.iter(|| {
-                        black_box(
-                            inst.color_edf_sharded(lb, width)
-                                .expect("feasible")
-                                .colors()
-                                .len(),
-                        )
-                    })
-                })
-            });
-        }
 
         // End to end: bound + coloring + verification.
-        let serial = SolveOptions {
-            bound: BoundMode::Incremental,
-            shards: ShardSpec::Serial,
-            warm_lb: None,
-        };
         group.bench_function(format!("solve/serial/c{colors}"), |b| {
-            b.iter(|| black_box(inst.solve_with(&serial).expect("solve").lower_bound))
-        });
-        group.bench_function(format!("solve/auto/pool8/c{colors}"), |b| {
-            minipool::with_pool(&pool, || {
-                b.iter(|| {
-                    black_box(
-                        inst.solve_with(&SolveOptions::default())
-                            .expect("solve")
-                            .lower_bound,
-                    )
-                })
-            })
+            b.iter(|| black_box(inst.solve().expect("solve").lower_bound))
         });
     }
 

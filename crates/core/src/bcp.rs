@@ -26,9 +26,9 @@
 //! row-by-row dynamic program — O(C²) in the number of colors, the
 //! asymptotic wall-clock bound of the whole fill on large inputs. It is
 //! retained verbatim (with checked arithmetic) as
-//! [`BcpInstance::lower_bound_dp`] behind [`BoundMode::QuadraticDp`] for
-//! differential testing. The default path certifies the *same value*
-//! without the quadratic sweep:
+//! [`BcpInstance::lower_bound_dp`], a differential reference the solve
+//! never calls. The solve certifies the *same value* without the
+//! quadratic sweep:
 //!
 //! 1. **Incremental window ladder** ([`IncrementalBound`]): monotone
 //!    maxima over power-of-two *aligned* color windows, maintainable as
@@ -48,40 +48,26 @@
 //!    (deterministic: the answer is the minimum feasible peak however
 //!    the pivots are scheduled).
 //!
-//! # How the coloring is sharded
+//! # How the coloring is computed
 //!
-//! [`ShardSpec`] splits the colors into disjoint windows. Each shard
-//! runs the EDF sweep *speculatively* in parallel, assuming no interval
-//! is carried across its left seam, and records its placements plus its
-//! carry-out (the pending-deadline heap at the seam). A sequential seam
-//! walk then accepts a shard's speculative result whenever the true
-//! carry-in is empty, and replays the shard serially with the true
-//! carry-in otherwise. The accepted/replayed sweep is exactly the
-//! serial sweep, so the coloring is **byte-identical to the serial
-//! solver at any thread count and any shard width** — the differential
-//! suites pin this. The worst case (every seam carries work) costs one
-//! serial sweep plus the discarded speculation.
-//!
-//! Defaults are environment-overridable: `DPFILL_BCP_BOUND=dp` selects
-//! the quadratic DP, `DPFILL_BCP_SHARD=serial|auto|<width>` pins the
-//! shard width (resolved once per process, like `DPFILL_SIMD`).
+//! One serial earliest-deadline sweep over all colors (Algorithm 2)
+//! serves every caller: the feasibility probes, the paper and
+//! generalized colorings, and the weighted solve. Each interval carries
+//! a load, and a color takes intervals earliest-deadline-first while
+//! the next one fits its quota; unit instances are the `w = 1` case of
+//! that one sweep, not a second code path.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
-use std::sync::OnceLock;
 
 use crate::Interval;
 
 /// Solver activity (relaxed no-ops unless a [`minitrace`] sink is
-/// live): ladder maintenance, parametric feasibility probes, and the
-/// per-shard speculation outcomes of the seam walk.
+/// live): ladder maintenance and parametric feasibility probes.
 static BCP_LADDER_LOADS: minitrace::Counter = minitrace::Counter::new("bcp.ladder.loads");
 static BCP_PROBES: minitrace::Counter = minitrace::Counter::new("bcp.probes");
-static BCP_SHARD_ACCEPTED: minitrace::Counter = minitrace::Counter::new("bcp.shard.accepted");
-static BCP_SHARD_REPLAYED: minitrace::Counter = minitrace::Counter::new("bcp.shard.replayed");
 
 /// Errors from BCP construction and solving.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,8 +104,10 @@ pub enum BcpError {
         /// The peak that was attempted (the caller's target, not the
         /// residual per-color quota).
         peak: u64,
-        /// The color whose deadline was missed: an interval ending here
-        /// could not be placed by its deadline.
+        /// The first color whose baseline alone exceeds `peak`, when one
+        /// does (the baseline-aware colorings only). Otherwise the color
+        /// whose deadline was missed: an interval ending here could not
+        /// be placed by its deadline.
         color: u32,
     },
     /// Arithmetic overflow: the instance's loads exceed `u64`.
@@ -178,95 +166,23 @@ impl fmt::Display for BcpError {
 
 impl Error for BcpError {}
 
-/// How the solver certifies the lower bound.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BoundMode {
-    /// Incremental window ladder + parametric EDF certification
-    /// (default; sub-quadratic).
-    #[default]
-    Incremental,
-    /// The published Algorithm 1 row DP — O(C²), retained behind this
-    /// flag for differential cross-checks (`DPFILL_BCP_BOUND=dp`).
-    QuadraticDp,
-}
-
-/// How the EDF coloring pass is sharded across color windows.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardSpec {
-    /// One shard per pool thread (serial when the pool has one thread).
-    #[default]
-    Auto,
-    /// Fixed shard width in colors (clamped to at least 1).
-    Width(usize),
-    /// Single serial sweep, no speculation.
-    Serial,
-}
-
-impl ShardSpec {
-    /// The shard width in colors this spec resolves to for an instance
-    /// of `num_colors` colors under the current pool.
-    pub fn resolve_width(self, num_colors: usize) -> usize {
-        match self {
-            ShardSpec::Serial => usize::MAX,
-            ShardSpec::Width(w) => w.max(1),
-            ShardSpec::Auto => {
-                let threads = minipool::current_threads().max(1);
-                if threads <= 1 {
-                    usize::MAX
-                } else {
-                    num_colors.div_ceil(threads).max(1)
-                }
-            }
-        }
-    }
-}
-
-/// Configuration of [`BcpInstance::solve_with`] /
-/// [`BcpInstance::solve_paper_with`].
+/// Configuration of [`BcpInstance::solve_with`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveOptions {
-    /// Lower-bound engine.
-    pub bound: BoundMode,
-    /// EDF shard layout.
-    pub shards: ShardSpec,
     /// A warm lower bound the caller already certified *for the
     /// generalized (baseline-aware) objective* — typically
     /// [`IncrementalBound::current`] maintained while the instance was
     /// being built. Must never exceed the true bound (every
     /// [`IncrementalBound`] value satisfies this). Skips rebuilding the
-    /// ladder; ignored by the paper-mode solve and the quadratic DP.
+    /// ladder; ignored by the paper-mode solve.
     pub warm_lb: Option<u64>,
 }
 
-static ENV_SOLVE: OnceLock<SolveOptions> = OnceLock::new();
-
 impl SolveOptions {
-    /// Process-wide defaults: [`SolveOptions::default`] overridden by
-    /// `DPFILL_BCP_BOUND` (`dp` / `incremental`) and `DPFILL_BCP_SHARD`
-    /// (`serial` / `auto` / a shard width in colors), resolved once and
-    /// cached — the same env-override shape as `DPFILL_SIMD`.
-    /// Unrecognized values fall back to the defaults.
+    /// The same as [`SolveOptions::default`]: no environment variable
+    /// changes the solve. Kept for callers that predate that.
     pub fn from_env() -> SolveOptions {
-        *ENV_SOLVE.get_or_init(|| {
-            let mut opts = SolveOptions::default();
-            if let Ok(v) = std::env::var("DPFILL_BCP_BOUND") {
-                if matches!(v.as_str(), "dp" | "quadratic") {
-                    opts.bound = BoundMode::QuadraticDp;
-                }
-            }
-            if let Ok(v) = std::env::var("DPFILL_BCP_SHARD") {
-                match v.as_str() {
-                    "serial" => opts.shards = ShardSpec::Serial,
-                    "auto" | "" => {}
-                    w => {
-                        if let Ok(n) = w.parse::<usize>() {
-                            opts.shards = ShardSpec::Width(n.max(1));
-                        }
-                    }
-                }
-            }
-            opts
-        })
+        SolveOptions::default()
     }
 }
 
@@ -414,6 +330,11 @@ impl StartIndex {
         StartIndex { offsets, order }
     }
 
+    /// Number of colors indexed.
+    fn num_colors(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
     /// Indices of the intervals starting at color `t`, ascending.
     #[inline]
     fn starting_at(&self, t: usize) -> &[u32] {
@@ -520,80 +441,37 @@ fn min_feasible_peak(
     Ok(good)
 }
 
-/// The EDF sweep over colors `range`, carrying the pending-deadline
-/// heap in and out (so shards and probes replay exactly the serial
-/// sweep from any seam). At each color: push the intervals starting
-/// there, then pop up to `capacity(t)` earliest deadlines and `place`
-/// them. Returns the deadline color of the first missed interval.
+/// The EDF sweep over every color (Algorithm 2, and the 1‖ΣwⱼUⱼ EDD
+/// order with weights). At each color: push the intervals starting
+/// there, then take them earliest-deadline-first while the heap head
+/// still fits the color's quota `peak − baseline[t]`, and `place` each
+/// one. The head blocks the color even when a lighter later-deadline
+/// interval would fit, so with unit loads this is exactly the paper's
+/// quota-per-color greedy. Interval `i` carries `loads[i]` and color `t`
+/// carries `baseline[t]`; an empty (or short) slice means unit loads or
+/// a zero baseline.
 ///
-/// The heap key `(end, index)` is a total order, so the pop sequence —
-/// and with it every placement — is independent of insertion order and
-/// heap internals: carry-in rebuilt from a drained heap behaves
-/// identically to the heap the serial sweep would hold at that seam.
-fn edf_span<F: Fn(usize) -> u64>(
-    intervals: &[Interval],
-    index: &StartIndex,
-    range: Range<usize>,
-    heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
-    capacity: &F,
-    mut place: impl FnMut(u32, u32),
-) -> Result<(), u32> {
-    for t in range {
-        for &idx in index.starting_at(t) {
-            heap.push(Reverse((intervals[idx as usize].end(), idx)));
-        }
-        let quota = capacity(t);
-        let mut used = 0u64;
-        while used < quota {
-            match heap.pop() {
-                Some(Reverse((end, idx))) => {
-                    if (end as usize) < t {
-                        // A deadline was missed: the quota was too
-                        // small at some earlier color.
-                        return Err(end);
-                    }
-                    place(idx, t as u32);
-                    used += 1;
-                }
-                None => break,
-            }
-        }
-        // With the quota exhausted (possibly zero), a pending deadline
-        // before `t` is already unmeetable; failing here instead of at
-        // the next pop reports the same earliest deadline (later pushes
-        // start at later colors) and lets infeasible probes bail early.
-        if let Some(&Reverse((end, _))) = heap.peek() {
-            if (end as usize) < t {
-                return Err(end);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Weighted variant of [`edf_span`]: each interval carries an integral
-/// load and a color accepts intervals earliest-deadline-first while the
-/// heap head still fits the remaining quota ("blocking" EDF — the head
-/// blocks the color even when a lighter later-deadline interval would
-/// fit, which keeps the sweep a pure function of the carry-in heap and
-/// the quota and therefore seam-replayable across shards). With
-/// all-unit loads the placements and the reported misses are exactly
-/// [`edf_span`]'s. `loads` may be shorter than `intervals` (missing
-/// entries are unit), matching [`BcpInstance`]'s lazy representation.
-fn edf_span_weighted<F: Fn(usize) -> u64>(
+/// Returns the first color whose baseline alone exceeds `peak`, if any
+/// (before placing anything); otherwise the deadline color of the first
+/// interval left unplaced. The heap key `(end, index)` is a total
+/// order, so the placements are independent of heap internals.
+fn edf_sweep(
     intervals: &[Interval],
     loads: &[u64],
     index: &StartIndex,
-    range: Range<usize>,
-    heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
-    capacity: &F,
+    peak: u64,
+    baseline: &[u64],
     mut place: impl FnMut(u32, u32),
 ) -> Result<(), u32> {
-    for t in range {
+    if let Some(t) = baseline.iter().position(|&b| b > peak) {
+        return Err(t as u32);
+    }
+    let mut heap = BinaryHeap::with_capacity(intervals.len());
+    for t in 0..index.num_colors() {
         for &idx in index.starting_at(t) {
             heap.push(Reverse((intervals[idx as usize].end(), idx)));
         }
-        let quota = capacity(t);
+        let quota = peak - baseline.get(t).copied().unwrap_or(0);
         let mut used = 0u64;
         while let Some(&Reverse((end, idx))) = heap.peek() {
             if (end as usize) < t {
@@ -609,7 +487,10 @@ fn edf_span_weighted<F: Fn(usize) -> u64>(
             used += w;
         }
     }
-    Ok(())
+    match heap.peek() {
+        Some(&Reverse((end, _))) => Err(end),
+        None => Ok(()),
+    }
 }
 
 /// A BCP instance: intervals over `num_colors` colors plus optional
@@ -747,8 +628,8 @@ impl BcpInstance {
         self.loads.get(i).copied().unwrap_or(1)
     }
 
-    /// `true` when every interval carries unit load — the solver then
-    /// routes through the unweighted engines verbatim.
+    /// `true` when every interval carries unit load — the solve then
+    /// certifies the exact unit bound, not the fractional weighted one.
     pub fn is_unit(&self) -> bool {
         self.loads.iter().all(|&w| w == 1)
     }
@@ -846,8 +727,8 @@ impl BcpInstance {
     /// satisfies
     /// `T[i][j] = T[i][j-1] + T[i+1][j] − T[i+1][j-1] + #(start=i ∧ end=j)`;
     /// the bound is `max ⌈(T[i][j] + baseline[i..=j])/(j−i+1)⌉`. O(C)
-    /// space. Retained behind [`BoundMode::QuadraticDp`] as the
-    /// differential reference for the parametric engine.
+    /// space. Retained as the differential reference for the parametric
+    /// engine; the solve never calls it.
     ///
     /// # Errors
     ///
@@ -963,8 +844,8 @@ impl BcpInstance {
     /// contributing its load to `T[i][j]` instead of 1. Always
     /// baseline-aware (weighted solves target the true objective).
     /// Equals [`BcpInstance::lower_bound`] wherever neither engine
-    /// overflows (differential-tested); selected by
-    /// [`BoundMode::QuadraticDp`] on weighted solves.
+    /// overflows (differential-tested); a reference the solve never
+    /// calls.
     ///
     /// # Errors
     ///
@@ -1067,31 +948,22 @@ impl BcpInstance {
         StartIndex::new(&self.intervals, self.num_colors)
     }
 
-    /// Can every interval be placed with peak `peak`? One EDF sweep,
-    /// O(C + k log k); monotone in `peak`.
-    fn probe_feasible(&self, index: &StartIndex, peak: u64, with_baseline: bool) -> bool {
+    /// Can every interval be placed with peak `peak`? One EDF sweep
+    /// ([`edf_sweep`]), O(C + k log k), over the given baseline (empty
+    /// ignores it) and loads (empty means unit). With unit loads the
+    /// answer is exact and monotone in `peak`. With weights, success
+    /// certifies an achievable peak but failure does **not** certify
+    /// infeasibility (weighted bottleneck coloring is NP-hard and
+    /// blocking EDF is a heuristic above the fractional bound).
+    fn probe_feasible(
+        &self,
+        index: &StartIndex,
+        peak: u64,
+        baseline: &[u64],
+        loads: &[u64],
+    ) -> bool {
         BCP_PROBES.add(1);
-        let mut heap = BinaryHeap::with_capacity(self.intervals.len());
-        let placed = if with_baseline {
-            edf_span(
-                &self.intervals,
-                index,
-                0..self.num_colors,
-                &mut heap,
-                &|t| peak.saturating_sub(self.baseline[t]),
-                |_, _| {},
-            )
-        } else {
-            edf_span(
-                &self.intervals,
-                index,
-                0..self.num_colors,
-                &mut heap,
-                &|_| peak,
-                |_, _| {},
-            )
-        };
-        placed.is_ok() && heap.is_empty()
+        edf_sweep(&self.intervals, loads, index, peak, baseline, |_, _| {}).is_ok()
     }
 
     /// The parametric lower-bound engine: start from the best cheap
@@ -1122,7 +994,7 @@ impl BcpInstance {
         let total = baseline.iter().fold(k, |a, &b| a.saturating_add(b));
         lo = lo.max(total.div_ceil(c as u64));
         min_feasible_peak(lo, "BCP lower bound (exceeds u64)", |p| {
-            self.probe_feasible(index, p, with_baseline)
+            self.probe_feasible(index, p, baseline, &[])
         })
     }
 
@@ -1172,26 +1044,6 @@ impl BcpInstance {
         heap.is_empty()
     }
 
-    /// Weighted integral feasibility probe: one serial blocking-EDF
-    /// sweep ([`edf_span_weighted`]). Success certifies an achievable
-    /// peak; failure does **not** certify infeasibility (weighted
-    /// bottleneck coloring is NP-hard and blocking EDF is a heuristic
-    /// above the fractional bound).
-    fn probe_feasible_blocking(&self, index: &StartIndex, peak: u64) -> bool {
-        BCP_PROBES.add(1);
-        let mut heap = BinaryHeap::with_capacity(self.intervals.len());
-        let placed = edf_span_weighted(
-            &self.intervals,
-            &self.loads,
-            index,
-            0..self.num_colors,
-            &mut heap,
-            &|t| peak.saturating_sub(self.baseline[t]),
-            |_, _| {},
-        );
-        placed.is_ok() && heap.is_empty()
-    }
-
     /// The weighted parametric lower-bound engine: minimum peak
     /// feasible for the *fractional* relaxation, found exactly like the
     /// unit engine — warm/ladder/density floor, gallop, k-ary panel
@@ -1227,292 +1079,57 @@ impl BcpInstance {
 
     /// Algorithm 2: earliest-deadline greedy coloring with a per-color
     /// quota of `lb` intervals (the paper's optimal coloring; baseline
-    /// ignored). Serial reference sweep.
+    /// and interval loads ignored).
     ///
     /// # Errors
     ///
     /// Returns [`BcpError::Infeasible`] if `lb` is below the true lower
     /// bound (cannot happen when `lb = self.lower_bound_paper()`).
     pub fn color_greedy_paper(&self, lb: u64) -> Result<Coloring, BcpError> {
-        self.color_capacity_sharded(lb, |_t| lb, usize::MAX, &self.start_index())
+        self.color_sweep(lb, &[], &[], &self.start_index())
     }
 
     /// Earliest-deadline-first coloring with per-color capacity
-    /// `peak − baseline_t` — the generalized solver's assignment step.
-    /// Serial reference sweep.
+    /// `peak − baseline_t` — the generalized solver's assignment step
+    /// (interval loads ignored).
     ///
     /// # Errors
     ///
     /// Returns [`BcpError::Infeasible`] when `peak` is below the
-    /// generalized lower bound.
+    /// generalized lower bound, including when some color's baseline
+    /// alone exceeds `peak` (then `color` is the first such color).
     pub fn color_edf(&self, peak: u64) -> Result<Coloring, BcpError> {
-        self.color_edf_sharded(peak, usize::MAX)
+        self.color_sweep(peak, &self.baseline, &[], &self.start_index())
     }
 
-    /// [`BcpInstance::color_edf`] sharded across color windows of
-    /// `shard_width` colors — byte-identical output and errors at any
-    /// thread count and any width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BcpError::Infeasible`] when `peak` is below the
-    /// generalized lower bound.
-    pub fn color_edf_sharded(&self, peak: u64, shard_width: usize) -> Result<Coloring, BcpError> {
-        let capacity = |t: usize| peak.saturating_sub(self.baseline[t]);
-        self.color_capacity_sharded(peak, capacity, shard_width, &self.start_index())
-    }
-
-    /// [`BcpInstance::color_greedy_paper`] sharded across color windows
-    /// of `shard_width` colors — byte-identical output and errors at any
-    /// thread count and any width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BcpError::Infeasible`] if `lb` is below the paper bound.
-    pub fn color_greedy_paper_sharded(
-        &self,
-        lb: u64,
-        shard_width: usize,
-    ) -> Result<Coloring, BcpError> {
-        self.color_capacity_sharded(lb, |_t| lb, shard_width, &self.start_index())
-    }
-
-    /// The speculative sharded EDF sweep. Phase 1 runs every shard in
-    /// parallel assuming an empty carry-in, recording placements, the
-    /// carry-out heap and any missed deadline. Phase 2 walks the seams
-    /// left to right: a shard whose true carry-in is empty has its
-    /// speculative result accepted verbatim (the speculation *was* the
-    /// serial sweep); otherwise the shard is replayed serially with the
-    /// true carry-in. Either way the executed sweep is exactly the
-    /// serial one, so placements — and infeasibility reports — are
-    /// byte-identical to [`BcpInstance::color_edf`] for every shard
-    /// width at every thread count.
-    fn color_capacity_sharded<F: Fn(usize) -> u64 + Sync>(
-        &self,
-        attempted: u64,
-        capacity: F,
-        shard_width: usize,
-        index: &StartIndex,
-    ) -> Result<Coloring, BcpError> {
-        let c = self.num_colors;
-        let k = self.intervals.len();
-        let mut colors = vec![u32::MAX; k];
-        if k == 0 {
-            return Ok(Coloring { colors });
-        }
-        let infeasible = |color: u32| BcpError::Infeasible {
-            peak: attempted,
-            color,
-        };
-        let width = shard_width.max(1);
-        let shards = c.div_ceil(width);
-        if shards <= 1 {
-            // Serial reference sweep: one shard spanning all colors.
-            let mut heap = BinaryHeap::with_capacity(k);
-            edf_span(
-                &self.intervals,
-                index,
-                0..c,
-                &mut heap,
-                &capacity,
-                |idx, t| {
-                    colors[idx as usize] = t;
-                },
-            )
-            .map_err(infeasible)?;
-            if let Some(&Reverse((end, _))) = heap.peek() {
-                return Err(infeasible(end));
-            }
-            return Ok(Coloring { colors });
-        }
-        struct Speculative {
-            placed: Vec<(u32, u32)>,
-            carry: Vec<Reverse<(u32, u32)>>,
-            miss: Option<u32>,
-        }
-        // Phase 1: per-shard speculative sweeps, empty carry-in assumed.
-        let runs: Vec<Speculative> = minipool::parallel_indexed(shards, |s| {
-            let span = s * width..((s + 1) * width).min(c);
-            let mut heap = BinaryHeap::new();
-            let mut placed = Vec::new();
-            let miss = edf_span(
-                &self.intervals,
-                index,
-                span,
-                &mut heap,
-                &capacity,
-                |idx, t| {
-                    placed.push((idx, t));
-                },
-            )
-            .err();
-            Speculative {
-                placed,
-                carry: heap.into_vec(),
-                miss,
-            }
-        });
-        // Phase 2: seam walk — accept or replay.
-        let mut carry: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        for (s, run) in runs.into_iter().enumerate() {
-            if carry.is_empty() {
-                BCP_SHARD_ACCEPTED.add(1);
-                if let Some(color) = run.miss {
-                    return Err(infeasible(color));
-                }
-                for (idx, t) in run.placed {
-                    colors[idx as usize] = t;
-                }
-                carry = BinaryHeap::from(run.carry);
-            } else {
-                BCP_SHARD_REPLAYED.add(1);
-                let span = s * width..((s + 1) * width).min(c);
-                edf_span(
-                    &self.intervals,
-                    index,
-                    span,
-                    &mut carry,
-                    &capacity,
-                    |idx, t| {
-                        colors[idx as usize] = t;
-                    },
-                )
-                .map_err(infeasible)?;
-            }
-        }
-        if let Some(&Reverse((end, _))) = carry.peek() {
-            return Err(infeasible(end));
-        }
-        Ok(Coloring { colors })
-    }
-
-    /// Weighted [`BcpInstance::color_edf`]: serial blocking-EDF sweep
-    /// with per-color capacity `peak − baseline_t`, each interval
-    /// consuming its load. On unit loads places exactly like
-    /// [`BcpInstance::color_edf`].
+    /// Weighted [`BcpInstance::color_edf`]: the same sweep with each
+    /// interval consuming its load, blocking EDF. On unit loads it places
+    /// exactly like [`BcpInstance::color_edf`].
     ///
     /// # Errors
     ///
     /// Returns [`BcpError::Infeasible`] when the blocking sweep cannot
-    /// meet `peak`.
+    /// meet `peak`, including when some color's baseline alone exceeds
+    /// `peak` (then `color` is the first such color).
     pub fn color_edf_weighted(&self, peak: u64) -> Result<Coloring, BcpError> {
-        self.color_edf_weighted_sharded(peak, usize::MAX)
+        self.color_sweep(peak, &self.baseline, &self.loads, &self.start_index())
     }
 
-    /// [`BcpInstance::color_edf_weighted`] sharded across color windows
-    /// of `shard_width` colors — the same speculative seam-walk as the
-    /// unit sweep (blocking EDF is a pure function of the carry-in heap
-    /// and the quota, so accepted speculation *is* the serial sweep),
-    /// hence byte-identical output and errors at any thread count and
-    /// any width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BcpError::Infeasible`] when the blocking sweep cannot
-    /// meet `peak`.
-    pub fn color_edf_weighted_sharded(
+    /// The coloring driver: one [`edf_sweep`] at `peak` over the given
+    /// baseline and loads (empty slices ignore the baseline and mean unit
+    /// loads), recording each placement.
+    fn color_sweep(
         &self,
         peak: u64,
-        shard_width: usize,
-    ) -> Result<Coloring, BcpError> {
-        self.color_weighted_indexed(peak, shard_width, &self.start_index())
-    }
-
-    /// [`BcpInstance::color_edf_weighted_sharded`] over a prebuilt
-    /// start index.
-    fn color_weighted_indexed(
-        &self,
-        peak: u64,
-        shard_width: usize,
+        baseline: &[u64],
+        loads: &[u64],
         index: &StartIndex,
     ) -> Result<Coloring, BcpError> {
-        let capacity = |t: usize| peak.saturating_sub(self.baseline[t]);
-        let c = self.num_colors;
-        let k = self.intervals.len();
-        let mut colors = vec![u32::MAX; k];
-        if k == 0 {
-            return Ok(Coloring { colors });
-        }
-        let infeasible = |color: u32| BcpError::Infeasible { peak, color };
-        let width = shard_width.max(1);
-        let shards = c.div_ceil(width);
-        if shards <= 1 {
-            let mut heap = BinaryHeap::with_capacity(k);
-            edf_span_weighted(
-                &self.intervals,
-                &self.loads,
-                index,
-                0..c,
-                &mut heap,
-                &capacity,
-                |idx, t| {
-                    colors[idx as usize] = t;
-                },
-            )
-            .map_err(infeasible)?;
-            if let Some(&Reverse((end, _))) = heap.peek() {
-                return Err(infeasible(end));
-            }
-            return Ok(Coloring { colors });
-        }
-        struct Speculative {
-            placed: Vec<(u32, u32)>,
-            carry: Vec<Reverse<(u32, u32)>>,
-            miss: Option<u32>,
-        }
-        let runs: Vec<Speculative> = minipool::parallel_indexed(shards, |s| {
-            let span = s * width..((s + 1) * width).min(c);
-            let mut heap = BinaryHeap::new();
-            let mut placed = Vec::new();
-            let miss = edf_span_weighted(
-                &self.intervals,
-                &self.loads,
-                index,
-                span,
-                &mut heap,
-                &capacity,
-                |idx, t| {
-                    placed.push((idx, t));
-                },
-            )
-            .err();
-            Speculative {
-                placed,
-                carry: heap.into_vec(),
-                miss,
-            }
-        });
-        let mut carry: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        for (s, run) in runs.into_iter().enumerate() {
-            if carry.is_empty() {
-                BCP_SHARD_ACCEPTED.add(1);
-                if let Some(color) = run.miss {
-                    return Err(infeasible(color));
-                }
-                for (idx, t) in run.placed {
-                    colors[idx as usize] = t;
-                }
-                carry = BinaryHeap::from(run.carry);
-            } else {
-                BCP_SHARD_REPLAYED.add(1);
-                let span = s * width..((s + 1) * width).min(c);
-                edf_span_weighted(
-                    &self.intervals,
-                    &self.loads,
-                    index,
-                    span,
-                    &mut carry,
-                    &capacity,
-                    |idx, t| {
-                        colors[idx as usize] = t;
-                    },
-                )
-                .map_err(infeasible)?;
-            }
-        }
-        if let Some(&Reverse((end, _))) = carry.peek() {
-            return Err(infeasible(end));
-        }
+        let mut colors = vec![u32::MAX; self.intervals.len()];
+        edf_sweep(&self.intervals, loads, index, peak, baseline, |idx, t| {
+            colors[idx as usize] = t;
+        })
+        .map_err(|color| BcpError::Infeasible { peak, color })?;
         Ok(Coloring { colors })
     }
 
@@ -1641,15 +1258,14 @@ impl BcpInstance {
 
     /// Solves with the generalized (baseline-aware) algorithm under
     /// explicit [`SolveOptions`]; the returned peak is optimal for
-    /// `max_t (baseline_t + load_t)`. The solution is identical for
-    /// every option combination (the options pick engines, not
-    /// answers) — differential-tested.
+    /// `max_t (baseline_t + load_t)`. A warm bound changes only where
+    /// the bound search starts, never the solution — differential-tested.
     ///
-    /// Weighted instances (any interval load > 1) route to the weighted
-    /// engines: the certified `lower_bound` is the exact fractional
-    /// windowed bound, and `peak` may exceed it on instances beyond the
-    /// exact-search budget (weighted bottleneck coloring is NP-hard).
-    /// Unit instances run the unweighted engines verbatim.
+    /// Weighted instances (any interval load > 1) certify the exact
+    /// fractional windowed bound as `lower_bound`, and `peak` may exceed
+    /// it on instances beyond the exact-search budget (weighted
+    /// bottleneck coloring is NP-hard). Both kinds color with the same
+    /// EDF sweep; unit instances pass it unit loads.
     ///
     /// # Errors
     ///
@@ -1667,22 +1283,17 @@ impl BcpInstance {
             ],
         );
         if !self.is_unit() {
-            return self.solve_weighted_with(opts);
+            return self.solve_weighted(opts.warm_lb);
         }
         let (index, lb) = {
             let _span = minitrace::span("bcp.bound");
             let index = self.start_index();
-            let lb = match opts.bound {
-                BoundMode::Incremental => self.certified_bound(true, opts.warm_lb, &index)?,
-                BoundMode::QuadraticDp => self.lower_bound_dp(true)?,
-            };
+            let lb = self.certified_bound(true, opts.warm_lb, &index)?;
             (index, lb)
         };
         let coloring = {
             let _span = minitrace::span("bcp.color");
-            let width = opts.shards.resolve_width(self.num_colors);
-            let capacity = |t: usize| lb.saturating_sub(self.baseline[t]);
-            self.color_capacity_sharded(lb, capacity, width, &index)?
+            self.color_sweep(lb, &self.baseline, &[], &index)?
         };
         let peak = {
             let _span = minitrace::span("bcp.verify");
@@ -1697,27 +1308,23 @@ impl BcpInstance {
     }
 
     /// Weighted solve: certify the fractional windowed bound, find a
-    /// blocking-EDF-feasible peak, color sharded, then close any
+    /// blocking-EDF-feasible peak, color at it, then close any
     /// remaining gap with a bounded exact branch-and-bound. Weighted
     /// bottleneck coloring is NP-hard, so `peak == lower_bound` is not
     /// guaranteed on instances beyond the search budget; inside it the
     /// peak is exactly optimal (differential-tested against brute
     /// force).
-    fn solve_weighted_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
+    fn solve_weighted(&self, warm_lb: Option<u64>) -> Result<BcpSolution, BcpError> {
         let (index, lb) = {
             let _span = minitrace::span("bcp.bound");
             let index = self.start_index();
-            let lb = match opts.bound {
-                BoundMode::Incremental => self.certified_bound_weighted(opts.warm_lb, &index)?,
-                BoundMode::QuadraticDp => self.lower_bound_dp_weighted()?,
-            };
+            let lb = self.certified_bound_weighted(warm_lb, &index)?;
             (index, lb)
         };
         let coloring = {
             let _span = minitrace::span("bcp.color");
             let target = self.blocking_peak(lb, &index)?;
-            let width = opts.shards.resolve_width(self.num_colors);
-            let greedy = self.color_weighted_indexed(target, width, &index)?;
+            let greedy = self.color_sweep(target, &self.baseline, &self.loads, &index)?;
             self.exact_refine(lb, greedy)?
         };
         let peak = {
@@ -1736,7 +1343,7 @@ impl BcpInstance {
     /// and serial bisection (blocking feasibility need not be monotone,
     /// so the search must not depend on the thread count).
     fn blocking_peak(&self, lb: u64, index: &StartIndex) -> Result<u64, BcpError> {
-        if self.probe_feasible_blocking(index, lb) {
+        if self.probe_feasible(index, lb, &self.baseline, &self.loads) {
             return Ok(lb);
         }
         let mut bad = lb;
@@ -1744,7 +1351,7 @@ impl BcpInstance {
         let mut good;
         loop {
             let p = bad.saturating_add(step);
-            if self.probe_feasible_blocking(index, p) {
+            if self.probe_feasible(index, p, &self.baseline, &self.loads) {
                 good = p;
                 break;
             }
@@ -1761,7 +1368,7 @@ impl BcpInstance {
         // predicate has non-monotone pockets.
         while good - bad > 1 {
             let mid = bad + (good - bad) / 2;
-            if self.probe_feasible_blocking(index, mid) {
+            if self.probe_feasible(index, mid, &self.baseline, &self.loads) {
                 good = mid;
             } else {
                 bad = mid;
@@ -1777,7 +1384,7 @@ impl BcpInstance {
     /// gate bound worst-case work, so large instances simply keep the
     /// greedy coloring. Returns the better of the two colorings (the
     /// greedy one on ties). Entirely serial — identical at any thread
-    /// count or shard width.
+    /// count.
     ///
     /// # Errors
     ///
@@ -1868,37 +1475,30 @@ impl BcpInstance {
         Ok(greedy)
     }
 
-    /// Solves with the generalized (baseline-aware) algorithm under the
-    /// process-wide [`SolveOptions::from_env`] defaults.
+    /// Solves with the generalized (baseline-aware) algorithm and no
+    /// warm bound.
     ///
     /// # Errors
     ///
     /// See [`BcpInstance::solve_with`].
     pub fn solve(&self) -> Result<BcpSolution, BcpError> {
-        self.solve_with(&SolveOptions::from_env())
+        self.solve_with(&SolveOptions::default())
     }
 
     /// Solves with the paper's Algorithms 1+2 (baseline ignored during
-    /// optimization, but reported in the verified peak) under explicit
-    /// [`SolveOptions`]. [`SolveOptions::warm_lb`] is ignored: warm
-    /// bounds are certified for the generalized objective. Interval
-    /// loads are also ignored — the published algorithms are defined
-    /// for unit loads; weighted instances must use
-    /// [`BcpInstance::solve_with`].
+    /// optimization, but reported in the verified peak). Interval loads
+    /// are also ignored — the published algorithms are defined for unit
+    /// loads; weighted instances must use [`BcpInstance::solve`].
     ///
     /// # Errors
     ///
     /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`;
     /// propagates [`BcpError::Infeasible`] — which would indicate a
     /// solver bug, as Algorithm 2 always meets the Algorithm 1 bound.
-    pub fn solve_paper_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
+    pub fn solve_paper(&self) -> Result<BcpSolution, BcpError> {
         let index = self.start_index();
-        let lb = match opts.bound {
-            BoundMode::Incremental => self.certified_bound(false, None, &index)?,
-            BoundMode::QuadraticDp => self.lower_bound_dp(false)?,
-        };
-        let width = opts.shards.resolve_width(self.num_colors);
-        let coloring = self.color_capacity_sharded(lb, |_t| lb, width, &index)?;
+        let lb = self.certified_bound(false, None, &index)?;
+        let coloring = self.color_sweep(lb, &[], &[], &index)?;
         let peak = self.verify(&coloring)?;
         debug_assert!(
             !self.is_unit() || peak.intervals_only == lb,
@@ -1909,16 +1509,6 @@ impl BcpInstance {
             lower_bound: lb,
             peak,
         })
-    }
-
-    /// Solves with the paper's Algorithms 1+2 under the process-wide
-    /// [`SolveOptions::from_env`] defaults.
-    ///
-    /// # Errors
-    ///
-    /// See [`BcpInstance::solve_paper_with`].
-    pub fn solve_paper(&self) -> Result<BcpSolution, BcpError> {
-        self.solve_paper_with(&SolveOptions::from_env())
     }
 
     /// Exhaustive minimum peak (with baseline) — O(∏ len(interval)).
@@ -2180,18 +1770,47 @@ mod tests {
             inst.color_edf(5),
             Err(BcpError::Infeasible { peak: 5, color: 1 })
         );
-        // Same report from every sharded layout.
-        for width in [1, 2, 3, 64] {
-            assert_eq!(
-                inst.color_edf_sharded(5, width),
-                Err(BcpError::Infeasible { peak: 5, color: 1 }),
-                "shard width {width}"
-            );
-        }
         // At the true bound (4 + ceil(3/1) ... window [1,1] holds 4+3)
         // the solve succeeds.
         assert_eq!(inst.lower_bound().unwrap(), 7);
         assert!(inst.color_edf(7).is_ok());
+    }
+
+    #[test]
+    fn edf_is_infeasible_when_a_baseline_alone_exceeds_the_peak() {
+        // Color 0's baseline 5 already exceeds peak 3, whatever the
+        // interval does: both baseline-aware colorings name color 0.
+        let mut inst = instance(2, &[(0, 1)]);
+        inst.set_baseline(vec![5, 0]).unwrap();
+        let expected = Err(BcpError::Infeasible { peak: 3, color: 0 });
+        assert_eq!(inst.color_edf(3), expected);
+        assert_eq!(inst.color_edf_weighted(3), expected);
+        // Only colors above the peak count, and the first one is named.
+        inst.set_baseline(vec![0, 5]).unwrap();
+        assert_eq!(
+            inst.color_edf(3),
+            Err(BcpError::Infeasible { peak: 3, color: 1 })
+        );
+        inst.set_baseline(vec![4, 5]).unwrap();
+        assert_eq!(
+            inst.color_edf_weighted(3),
+            Err(BcpError::Infeasible { peak: 3, color: 0 })
+        );
+        // No intervals at all: the baseline still decides.
+        let mut empty = BcpInstance::new(1);
+        empty.set_baseline(vec![5]).unwrap();
+        assert_eq!(
+            empty.color_edf(3),
+            Err(BcpError::Infeasible { peak: 3, color: 0 })
+        );
+        assert_eq!(empty.color_edf(5).unwrap().colors(), &[] as &[u32]);
+        // The paper coloring ignores the baseline.
+        assert!(inst.color_greedy_paper(1).is_ok());
+        // At the bound the coloring verifies at exactly that peak.
+        let lb = inst.lower_bound().unwrap();
+        assert_eq!(lb, 5);
+        let coloring = inst.color_edf(lb).unwrap();
+        assert_eq!(inst.verify(&coloring).unwrap().with_baseline, lb);
     }
 
     #[test]
@@ -2314,7 +1933,6 @@ mod tests {
         let sol = inst
             .solve_with(&SolveOptions {
                 warm_lb: Some(warm),
-                ..SolveOptions::default()
             })
             .unwrap();
         assert_eq!(sol.lower_bound, lb);
@@ -2436,8 +2054,12 @@ mod tests {
         assert!(StartIndex::new(&[], 0).order.is_empty());
     }
 
+    fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        minipool::with_pool(&minipool::ThreadPool::new(threads), f)
+    }
+
     #[test]
-    fn sharded_solve_is_identical_to_serial() {
+    fn unit_solve_is_identical_at_every_thread_count() {
         let inst = {
             let mut inst = instance(
                 11,
@@ -2459,12 +2081,10 @@ mod tests {
         };
         let lb = inst.lower_bound().unwrap();
         let serial = inst.color_edf(lb).unwrap();
-        for width in [1, 2, 3, 5, 7, 11, 64] {
-            assert_eq!(
-                inst.color_edf_sharded(lb, width).unwrap(),
-                serial,
-                "shard width {width}"
-            );
+        for threads in [1, 2, 8] {
+            let sol = with_threads(threads, || inst.solve()).unwrap();
+            assert_eq!(sol.lower_bound, lb, "{threads} threads");
+            assert_eq!(sol.coloring, serial, "{threads} threads");
         }
     }
 
@@ -2472,30 +2092,16 @@ mod tests {
     fn solve_options_pick_engines_not_answers() {
         let mut inst = instance(9, &[(0, 8), (2, 3), (2, 3), (5, 5), (6, 8), (0, 1)]);
         inst.set_baseline(vec![1, 0, 0, 2, 0, 1, 0, 0, 0]).unwrap();
-        let reference = inst
-            .solve_with(&SolveOptions {
-                bound: BoundMode::QuadraticDp,
-                shards: ShardSpec::Serial,
-                warm_lb: None,
-            })
-            .unwrap();
-        for bound in [BoundMode::Incremental, BoundMode::QuadraticDp] {
-            for shards in [
-                ShardSpec::Auto,
-                ShardSpec::Serial,
-                ShardSpec::Width(1),
-                ShardSpec::Width(4),
-            ] {
-                let sol = inst
-                    .solve_with(&SolveOptions {
-                        bound,
-                        shards,
-                        warm_lb: None,
-                    })
-                    .unwrap();
-                assert_eq!(sol, reference, "{bound:?} {shards:?}");
+        let reference = inst.solve_with(&SolveOptions::default()).unwrap();
+        assert_eq!(reference.lower_bound, inst.lower_bound_dp(true).unwrap());
+        for warm_lb in [None, Some(0), Some(reference.lower_bound)] {
+            for threads in [1, 2, 8] {
+                let sol =
+                    with_threads(threads, || inst.solve_with(&SolveOptions { warm_lb })).unwrap();
+                assert_eq!(sol, reference, "warm {warm_lb:?}, {threads} threads");
             }
         }
+        assert_eq!(SolveOptions::from_env(), SolveOptions::default());
     }
 
     /// Deterministic pseudo-random weight in 1..=16.
@@ -2610,7 +2216,7 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sharded_solve_is_identical_to_serial() {
+    fn weighted_solve_is_identical_at_every_thread_count() {
         let inst = {
             let mut inst = weighted_instance(
                 11,
@@ -2630,38 +2236,21 @@ mod tests {
                 .unwrap();
             inst
         };
-        let serial = inst
-            .solve_with(&SolveOptions {
-                bound: BoundMode::Incremental,
-                shards: ShardSpec::Serial,
-                warm_lb: None,
-            })
-            .unwrap();
-        let peak = serial.peak.with_baseline;
+        let reference = inst.solve().unwrap();
+        assert_eq!(
+            reference.lower_bound,
+            inst.lower_bound_dp_weighted().unwrap()
+        );
+        let peak = reference.peak.with_baseline;
         let serial_coloring = inst.color_edf_weighted(peak).unwrap();
-        for width in [1, 2, 3, 5, 7, 11, 64] {
+        for threads in [1, 2, 8] {
             assert_eq!(
-                inst.color_edf_weighted_sharded(peak, width).unwrap(),
+                with_threads(threads, || inst.color_edf_weighted(peak)).unwrap(),
                 serial_coloring,
-                "shard width {width}"
+                "{threads} threads"
             );
-        }
-        for bound in [BoundMode::Incremental, BoundMode::QuadraticDp] {
-            for shards in [
-                ShardSpec::Auto,
-                ShardSpec::Serial,
-                ShardSpec::Width(1),
-                ShardSpec::Width(4),
-            ] {
-                let sol = inst
-                    .solve_with(&SolveOptions {
-                        bound,
-                        shards,
-                        warm_lb: None,
-                    })
-                    .unwrap();
-                assert_eq!(sol, serial, "{bound:?} {shards:?}");
-            }
+            let sol = with_threads(threads, || inst.solve()).unwrap();
+            assert_eq!(sol, reference, "{threads} threads");
         }
     }
 

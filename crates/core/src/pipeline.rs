@@ -1,12 +1,10 @@
 //! End-to-end ordering + filling pipelines — the "techniques" compared in
 //! the paper's Tables V and VI.
 //!
-//! DP-fill techniques construct [`DpFill`](crate::fill::DpFill) with
-//! [`SolveOptions::from_env`](crate::bcp::SolveOptions::from_env), so
-//! sweeps honor the `DPFILL_BCP_BOUND` / `DPFILL_BCP_SHARD` engine
-//! overrides; every engine combination produces identical fillings
-//! (pinned by the `bcp_sharded` differential suite), so table numbers
-//! never depend on the solver configuration.
+//! DP-fill techniques run [`DpFill`](crate::fill::DpFill), whose solve
+//! has no engine knobs: the fillings are identical at any thread count
+//! (pinned by the `bcp_differential` suite), so table numbers never
+//! depend on the host.
 
 use dpfill_cubes::CubeSet;
 

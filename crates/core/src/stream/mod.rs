@@ -207,14 +207,6 @@ pub struct StreamOptions {
     /// Deliberate fault injection for the chaos suite (inert by
     /// default).
     pub chaos: ChaosPlan,
-    /// BCP solve configuration for the global DP-fill solve (bound
-    /// engine and shard layout; the warm bound is supplied by the
-    /// analyzer's incremental ladder and overrides
-    /// [`SolveOptions::warm_lb`]). Every configuration yields the same
-    /// solution, so the emitted bytes stay identical — this exists so
-    /// the differential suites can pin explicit shard widths without
-    /// process-global environment races.
-    pub solve: SolveOptions,
     /// The fill objective. The default
     /// ([`FillObjective::peak_toggles`]) keeps every code path and every
     /// emitted byte identical to a build without the objective layer; a
@@ -237,7 +229,6 @@ impl Default for StreamOptions {
             header: None,
             collect_baseline: false,
             chaos: ChaosPlan::default(),
-            solve: SolveOptions::from_env(),
             objective: FillObjective::default(),
         }
     }
@@ -849,8 +840,9 @@ impl StreamingFill {
                 // by the bound the analyzer certified online, so the
                 // solve starts at (usually *at*) the answer instead of
                 // re-deriving it from the whole event stream.
-                let mut solve_opts = self.opts.solve;
-                solve_opts.warm_lb = Some(analysis.warm_lb);
+                let solve_opts = SolveOptions {
+                    warm_lb: Some(analysis.warm_lb),
+                };
                 let mut solution = instance.solve_with(&solve_opts).map_err(solve_error)?;
                 if let Some(preferred) = self.opts.objective.preferred() {
                     // The monolithic DpFill's preference tie-break,

@@ -1,0 +1,231 @@
+//! Differential suite for the BCP solve: at every tested thread count
+//! the solve must certify the **same lower bound** as the retained
+//! Algorithm 1 dynamic program, achieve the **same peak**, and produce
+//! a coloring **byte-identical** to the one at one thread and to the
+//! plain EDF coloring at that bound — including empty instances, point
+//! intervals and baseline-dominated cases. The thread count matters
+//! because the bound search probes one pivot per pool thread.
+
+use dpfill_core::bcp::{BcpError, BcpInstance, SolveOptions};
+use dpfill_core::Interval;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let pool = minipool::ThreadPool::new(threads);
+    minipool::with_pool(&pool, f)
+}
+
+/// Asserts every thread count against the one-thread solve, the
+/// quadratic DP bound (weighted: its weighted twin) and, on unit
+/// instances, the EDF coloring at the bound.
+fn assert_solve_invariant(inst: &BcpInstance) {
+    let reference = with_threads(1, || inst.solve()).expect("reference solve");
+    if inst.is_unit() {
+        assert_eq!(reference.lower_bound, inst.lower_bound_dp(true).unwrap());
+        assert_eq!(reference.peak.with_baseline, reference.lower_bound);
+        let coloring = inst
+            .color_edf(reference.lower_bound)
+            .expect("bound is feasible");
+        assert_eq!(reference.coloring, coloring, "solve differs from EDF");
+    } else {
+        assert_eq!(
+            reference.lower_bound,
+            inst.lower_bound_dp_weighted().unwrap()
+        );
+        assert!(reference.peak.with_baseline >= reference.lower_bound);
+    }
+    for threads in [1usize, 2, 8] {
+        let sol = with_threads(threads, || inst.solve())
+            .unwrap_or_else(|e| panic!("threads {threads}: {e}"));
+        assert_eq!(
+            sol.lower_bound, reference.lower_bound,
+            "threads {threads}: bound drifted"
+        );
+        assert_eq!(sol.peak, reference.peak, "threads {threads}: peak drifted");
+        assert_eq!(
+            sol.coloring.colors(),
+            reference.coloring.colors(),
+            "threads {threads}: coloring drifted"
+        );
+    }
+}
+
+/// A seeded mid-size instance: `k` random intervals over `colors`
+/// colors with baseline loads in `0..base_max` and, when `max_load > 1`,
+/// interval loads in `1..=max_load`.
+fn random_instance(
+    colors: usize,
+    k: usize,
+    base_max: u64,
+    max_load: u64,
+    seed: u64,
+) -> BcpInstance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut inst = BcpInstance::new(colors);
+    for _ in 0..k {
+        let a = rng.gen_range(0..colors as u32);
+        let b = rng.gen_range(0..colors as u32);
+        let load = if max_load > 1 {
+            rng.gen_range(1..=max_load)
+        } else {
+            1
+        };
+        inst.add_weighted_interval(Interval::new(a.min(b), a.max(b)), load)
+            .expect("in range");
+    }
+    if base_max > 0 {
+        let baseline = (0..colors).map(|_| rng.gen_range(0..base_max)).collect();
+        inst.set_baseline(baseline).expect("matching length");
+    }
+    inst
+}
+
+/// Small instances, unit or with loads in `1..=3`.
+fn arb_instance() -> impl Strategy<Value = BcpInstance> {
+    (1usize..12, 0u64..4, 1u64..=3).prop_flat_map(|(colors, base_max, max_load)| {
+        let intervals = proptest::collection::vec(
+            (
+                (0..colors as u32).prop_flat_map(move |s| {
+                    (Just(s), s..colors as u32).prop_map(|(s, e)| Interval::new(s, e))
+                }),
+                1..=max_load,
+            ),
+            0..12,
+        );
+        let baseline = proptest::collection::vec(0..=base_max, colors);
+        (Just(colors), intervals, baseline).prop_map(|(c, ivs, base)| {
+            let mut inst = BcpInstance::new(c);
+            for (iv, load) in ivs {
+                inst.add_weighted_interval(iv, load)
+                    .expect("intervals in range");
+            }
+            inst.set_baseline(base).expect("matching length");
+            inst
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The headline differential: randomized instances (including
+    /// baseline-dominated and weighted ones) at every thread count.
+    #[test]
+    fn solve_matches_reference_everywhere(inst in arb_instance()) {
+        assert_solve_invariant(&inst);
+    }
+}
+
+/// Instances with colors but no intervals.
+#[test]
+fn empty_instances_round_trip() {
+    assert_solve_invariant(&BcpInstance::new(1));
+    assert_solve_invariant(&BcpInstance::new(64));
+    let mut baseline_only = BcpInstance::new(9);
+    baseline_only
+        .set_baseline(vec![3, 0, 0, 7, 0, 0, 0, 1, 2])
+        .unwrap();
+    assert_solve_invariant(&baseline_only);
+}
+
+/// Every interval a point: each EDF placement is forced the moment its
+/// color opens.
+#[test]
+fn point_interval_instances_round_trip() {
+    let mut inst = BcpInstance::new(16);
+    for c in [0u32, 0, 3, 3, 3, 7, 15, 15, 8, 4] {
+        inst.add_interval(Interval::new(c, c)).unwrap();
+    }
+    assert_solve_invariant(&inst);
+}
+
+/// Baseline dwarfs the interval load: the bound comes from a single
+/// color, and EDF capacities pinch to zero on the heavy colors.
+#[test]
+fn baseline_dominated_instances_round_trip() {
+    let mut inst = BcpInstance::new(10);
+    for _ in 0..4 {
+        inst.add_interval(Interval::new(0, 9)).unwrap();
+    }
+    let mut baseline = vec![0u64; 10];
+    baseline[4] = 1_000;
+    baseline[9] = 999;
+    inst.set_baseline(baseline).unwrap();
+    assert_solve_invariant(&inst);
+}
+
+/// Seeded mid-size anchors beyond proptest's shapes, unit and weighted.
+#[test]
+fn seeded_midsize_instances_round_trip() {
+    for (seed, colors, k, base_max, max_load) in [
+        (1u64, 300usize, 900usize, 0u64, 1u64),
+        (2, 257, 400, 3, 1),
+        (3, 130, 2_000, 8, 1),
+        (4, 200, 600, 3, 16),
+    ] {
+        assert_solve_invariant(&random_instance(colors, k, base_max, max_load, seed));
+    }
+}
+
+/// Infeasible capacities report the attempted peak and the missed
+/// color at every thread count — not a residual quota.
+#[test]
+fn infeasible_error_is_thread_invariant() {
+    let mut inst = BcpInstance::new(4);
+    for _ in 0..5 {
+        inst.add_interval(Interval::new(1, 1)).unwrap();
+    }
+    inst.set_baseline(vec![2, 2, 2, 2]).unwrap();
+    // Peak 4 leaves capacity 2 at color 1; five point intervals can't fit.
+    let expected = BcpError::Infeasible { peak: 4, color: 1 };
+    for threads in [1usize, 2, 8] {
+        let err = with_threads(threads, || inst.color_edf(4))
+            .expect_err("five unit jobs into capacity 2");
+        assert_eq!(err, expected, "threads {threads}");
+    }
+    // And the real bound solves exactly.
+    let lb = inst.lower_bound().unwrap();
+    assert_eq!(lb, 7);
+    let sol = inst.solve().unwrap();
+    assert_eq!(sol.peak.with_baseline, 7);
+}
+
+/// Overflow at u64::MAX baselines stays a typed error (never a panic)
+/// at every thread count.
+#[test]
+fn overflow_is_typed_at_every_thread_count() {
+    let mut inst = BcpInstance::new(2);
+    inst.add_interval(Interval::new(0, 1)).unwrap();
+    inst.set_baseline(vec![u64::MAX, 0]).unwrap();
+    for threads in [1usize, 2, 8] {
+        with_threads(threads, || {
+            assert!(matches!(
+                inst.lower_bound_dp(true),
+                Err(BcpError::Overflow { .. })
+            ));
+            // The parametric engine never sums across colors, so it can
+            // still certify the exact bound and solve the instance.
+            assert_eq!(inst.lower_bound().unwrap(), u64::MAX);
+            let sol = inst.solve_with(&SolveOptions::default()).unwrap();
+            assert_eq!(sol.peak.with_baseline, u64::MAX);
+            assert_eq!(sol.coloring.colors(), &[1]);
+        });
+    }
+}
+
+/// A warm lower bound (what the streaming analyzer hands the solve)
+/// must change only the starting point of the search, never the answer.
+#[test]
+fn warm_lower_bound_is_answer_preserving() {
+    let inst = random_instance(200, 600, 2, 1, 0xC0FFEE);
+    let cold = inst.solve_with(&SolveOptions::default()).unwrap();
+    for warm in [0, cold.lower_bound / 2, cold.lower_bound] {
+        let opts = SolveOptions {
+            warm_lb: Some(warm),
+        };
+        let sol = with_threads(4, || inst.solve_with(&opts)).unwrap();
+        assert_eq!(sol, cold, "warm start {warm} changed the answer");
+    }
+}

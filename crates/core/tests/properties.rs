@@ -99,15 +99,14 @@ proptest! {
         prop_assert_eq!(inst.lower_bound().unwrap(), naive_b);
     }
 
-    /// The sharded coloring is byte-identical to the serial EDF pass at
-    /// every shard width — including the degenerate width 1.
+    /// On unit instances the weighted coloring is the unit coloring:
+    /// the same colors, or the same error, just below, at and just above
+    /// the generalized bound.
     #[test]
-    fn sharded_coloring_matches_serial(inst in arb_instance()) {
+    fn weighted_coloring_matches_unit_coloring_on_unit_instances(inst in arb_instance()) {
         let lb = inst.lower_bound().unwrap();
-        let serial = inst.color_edf(lb).unwrap();
-        for width in [1usize, 3, 7, usize::MAX] {
-            let sharded = inst.color_edf_sharded(lb, width).unwrap();
-            prop_assert_eq!(&sharded, &serial, "width {}", width);
+        for peak in lb.saturating_sub(1)..=lb + 1 {
+            prop_assert_eq!(inst.color_edf_weighted(peak), inst.color_edf(peak), "peak {}", peak);
         }
     }
 

@@ -7,7 +7,6 @@
 
 use dpfill_core::fill::FillMethod;
 use dpfill_core::stream::{StreamOptions, StreamingFill, WindowSpec};
-use dpfill_core::{BoundMode, ShardSpec, SolveOptions};
 use dpfill_cubes::{format, peak_toggles, Bit, CubeSet, TestCube};
 use proptest::prelude::*;
 
@@ -174,58 +173,20 @@ fn seeded_200x129_set_matches_and_stays_optimal() {
     assert_eq!(report.peak, peak_toggles(&filled).unwrap() as u64);
 }
 
-/// The windowed DP fill stays byte-identical when its global solve runs
-/// sharded: every (shard width × thread count) cell — plus a quadratic-DP
-/// bound leg — must reproduce the monolithic output exactly. Pinning the
-/// width through [`StreamOptions::solve`] (instead of the env override)
-/// keeps the matrix race-free under a parallel test runner.
+/// The windowed DP fill's global solve (warm bound, parallel probe
+/// panel, serial EDF coloring) reproduces the monolithic output exactly
+/// at every (thread count × window) cell.
 #[test]
-fn windowed_fill_is_byte_identical_under_sharded_solve() {
+fn windowed_fill_is_byte_identical_at_every_thread_count() {
     let set = dpfill_cubes::gen::random_cube_set(90, 48, 0.75, 0x5EED);
     let text = format::patterns_to_string(&set, None);
     let reference = monolithic_bytes(&text, FillMethod::Dp);
-    let run = |solve: SolveOptions, window: usize| {
-        let opts = StreamOptions {
-            window: WindowSpec::Cubes(window),
-            fill: FillMethod::Dp,
-            solve,
-            ..StreamOptions::default()
-        };
-        let mut out = Vec::new();
-        StreamingFill::new(opts)
-            .run(|| Ok(text.as_bytes()), &mut out)
-            .expect("streaming run");
-        out
-    };
-    for shards in [
-        ShardSpec::Serial,
-        ShardSpec::Auto,
-        ShardSpec::Width(1),
-        ShardSpec::Width(7),
-        ShardSpec::Width(64),
-    ] {
-        for threads in [1usize, 2, 8] {
-            for window in [5usize, 48] {
-                let solve = SolveOptions {
-                    shards,
-                    ..SolveOptions::default()
-                };
-                let out = with_threads(threads, || run(solve, window));
-                assert_eq!(
-                    out, reference,
-                    "{shards:?} drifted at window {window}, {threads} threads"
-                );
-            }
+    for threads in [1usize, 2, 8] {
+        for window in [5usize, 48] {
+            let (out, _) = with_threads(threads, || windowed_bytes(&text, FillMethod::Dp, window));
+            assert_eq!(out, reference, "window {window}, {threads} threads");
         }
     }
-    // The retained O(C^2) DP bound feeds the same sharded coloring.
-    let dp_leg = SolveOptions {
-        bound: BoundMode::QuadraticDp,
-        shards: ShardSpec::Width(7),
-        ..SolveOptions::default()
-    };
-    let out = with_threads(4, || run(dp_leg, 9));
-    assert_eq!(out, reference, "quadratic-DP bound leg drifted");
 }
 
 /// The streamed report's peak must equal the measured peak of its own

@@ -862,7 +862,6 @@ fn run_streaming(opts: &Options, json: &mut JsonReport) -> Result<(), CliError> 
         collect_baseline: opts.stats,
         chaos: chaos_from_env()?,
         objective: objective.clone(),
-        ..StreamOptions::default()
     });
     let label = opts.input.as_deref().unwrap_or("<stdin>");
     // The planned fills read the input twice, so stdin is spooled to a
