@@ -17,7 +17,8 @@
 //!   (interval, site, or safe-run segment) plus one counter per
 //!   transition.
 //!
-//! The pipeline streams the planes and keeps the events:
+//! The pipeline streams the planes and keeps the events. The input is
+//! opened once and its text parsed once:
 //!
 //! 1. **Analysis pass** ([`analyze::WindowedAnalyzer`]): each window is
 //!    transposed and scanned; per-pin scan state (the frozen tail of
@@ -25,14 +26,17 @@
 //!    spanning any number of windows are stitched *exactly* — the
 //!    event stream equals the monolithic
 //!    [`MatrixMapping::analyze`](crate::MatrixMapping::analyze) walk,
-//!    then the sites sort into its row-major order. The window's cubes
-//!    are dropped as soon as the next window arrives.
+//!    then the sites sort into its row-major order. Each window's
+//!    packed planes are appended to the [`spool`] (an unlinked temp
+//!    file of fixed-size records, passed through one 64 KiB buffer)
+//!    and its cubes are dropped as soon as the next window arrives.
 //! 2. **Solve**: the *same* global
 //!    [`BcpInstance::solve`](crate::BcpInstance::solve) the monolithic
 //!    DP-fill runs, on the identical instance — identical lower bound,
 //!    identical EDF coloring, no cubes resident at all.
-//! 3. **Emit pass** ([`plan::FillPlan`]): windows are re-read, filled
-//!    by clipped word splices of the resolved plan (the same
+//! 3. **Emit pass** ([`plan::FillPlan`]): windows are replayed from the
+//!    plane spool — no second open, no second parse — filled by
+//!    clipped word splices of the resolved plan (the same
 //!    `fill_range` splices `apply_coloring` performs), scored with the
 //!    one-dispatch batched toggle sweeps (the boundary transition is
 //!    stitched against the retained last cube of the previous window),
@@ -52,11 +56,10 @@
 //! interposes the [`reorder`] stage: a ring of `band × window` cubes is
 //! kept resident and re-ordered (in-window I-order or online XStat,
 //! chained against the last emitted cube) before windows are frozen out
-//! to the analyzer and the fill. The two-pass fills record the
-//! permutation in pass 1 and replay it in pass 2 with a
-//! bounded-displacement buffer; single-pass fills reorder live in the
-//! emit loop. When the ring covers the entire input, the result is
-//! byte-identical to the monolithic *ordered* run.
+//! to the analyzer and the fill. The two-pass fills reorder in pass 1,
+//! so the spool already holds the reordered cubes; single-pass fills
+//! reorder live in the emit loop. When the ring covers the entire
+//! input, the result is byte-identical to the monolithic *ordered* run.
 //!
 //! # Example
 //!
@@ -86,9 +89,11 @@ mod analyze;
 mod budget;
 mod plan;
 mod reorder;
+mod spool;
 
 use std::error::Error;
 use std::fmt;
+use std::fs::File;
 use std::io::{self, Read, Write};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -117,7 +122,9 @@ pub use reorder::BandedOrder;
 /// path) — a relaxed no-op unless a [`minitrace`] sink is live.
 static WEIGHTED_SCORE_WINDOWS: minitrace::Counter =
     minitrace::Counter::new("stream.weighted_score.windows");
-use reorder::{ReorderStage, ReplayStream};
+use reorder::ReorderStage;
+pub use spool::create_exclusive;
+use spool::PlaneSpool;
 
 /// How the window size is chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -258,9 +265,11 @@ pub struct StreamReport {
     /// Peak toggles of the 0-filled as-given input, when
     /// [`StreamOptions::collect_baseline`] was set.
     pub baseline_peak: Option<usize>,
-    /// High-water mark of resident cubes (original + filled windows in
-    /// flight, plus the carried boundary tails) — the `O(window ×
-    /// threads + overlap)` bound, observable.
+    /// High-water mark of resident cubes over both passes (pass 1: the
+    /// window in analysis plus any banded ring; pass 2: original +
+    /// filled windows in flight, the ring of a live banded order, plus
+    /// the carried boundary tails) — the `O(window × threads +
+    /// overlap)` bound, observable.
     pub resident_peak_cubes: usize,
     /// Every graceful-degradation step a `--memory-budget` run took
     /// (window halvings under budget pressure), in order. Empty for
@@ -274,7 +283,7 @@ pub struct StreamReport {
     /// solve for DP, the copy-left splice for MT). Zero for
     /// single-pass fills.
     pub solve_ns: u64,
-    /// Wall-clock nanoseconds of pass 2 (re-stream, fill, score, emit)
+    /// Wall-clock nanoseconds of pass 2 (spool replay, fill, score, emit)
     /// — the only pass for per-cube fills.
     pub pass2_ns: u64,
 }
@@ -299,12 +308,14 @@ pub enum StreamError {
     /// The banded in-ring ordering failed (bound overflow inside the
     /// search, or a strategy returned a non-permutation).
     Order(OrderingError),
-    /// The source returned different content on the second pass.
-    SourceChanged {
-        /// `(cubes, width)` seen by the analysis pass.
-        expected: (usize, usize),
-        /// `(cubes, width)` seen by the emit pass.
-        found: (usize, usize),
+    /// The plane spool that carries pass 1's cubes to pass 2 failed:
+    /// its temp file could not be created, a write or read failed or
+    /// came up short, or a record read back is not canonical.
+    Spool {
+        /// What failed: `create`, `write`, `rewind` or `read`.
+        op: &'static str,
+        /// The underlying error.
+        source: io::Error,
     },
     /// A worker panicked while processing one window; the panic was
     /// contained at the window boundary instead of unwinding through
@@ -349,12 +360,7 @@ impl fmt::Display for StreamError {
                 m.label()
             ),
             StreamError::Order(e) => write!(f, "banded streaming ordering failed: {e}"),
-            StreamError::SourceChanged { expected, found } => write!(
-                f,
-                "pattern source changed between passes: analysis saw {} cubes x {} pins, \
-                 emit saw {} cubes x {} pins",
-                expected.0, expected.1, found.0, found.1
-            ),
+            StreamError::Spool { op, source } => write!(f, "cannot {op} plane spool: {source}"),
             StreamError::WindowPanicked {
                 window,
                 cubes,
@@ -386,6 +392,7 @@ impl Error for StreamError {
         match self {
             StreamError::Pattern(e) => Some(e),
             StreamError::Write(e) | StreamError::Open(e) => Some(e),
+            StreamError::Spool { source, .. } => Some(source),
             StreamError::Solve(e) => Some(e),
             StreamError::Order(e) => Some(e),
             _ => None,
@@ -420,77 +427,82 @@ enum ResolvedFill {
     Local,
 }
 
-/// Where the emit pass reads its (possibly reordered) cube stream.
-enum EmitSource<R: Read> {
-    /// Straight from the pattern reader — no ordering; the only source
-    /// whose output is byte-identical to the unordered monolithic run.
+/// Where a pass reads its cube windows.
+enum Source<R: Read> {
+    /// Straight from the pattern reader, in input order — the only
+    /// source whose output is byte-identical to the unordered
+    /// monolithic run.
     Direct(PatternStream<R>),
-    /// Replay of the permutation pass 1 recorded (two-pass planned
-    /// fills under a banded ordering).
-    Replay(ReplayStream<R>),
-    /// Live banded reordering (single-pass per-cube fills under a
-    /// banded ordering — there is no pass 1 to record a permutation).
-    Live(ReorderStage<R>),
+    /// Through the banded reorder stage: pass 1 of a planned fill, or
+    /// the only pass of a per-cube fill.
+    Banded(ReorderStage<R>),
+    /// Pass 2 of a planned fill: pass 1's cubes, replayed from the
+    /// plane spool in the order the analyzer saw them.
+    Spool(PlaneSpool<File>),
 }
 
-impl<R: Read> EmitSource<R> {
-    fn next_window(&mut self, max: usize, win_idx: usize) -> Result<Option<CubeSet>, StreamError> {
+impl<R: Read> Source<R> {
+    /// The next window of up to `max` cubes. `warm_lb` seeds the banded
+    /// search (0 when no analyzer runs); `win_idx` attributes contained
+    /// panics.
+    fn next_window(
+        &mut self,
+        max: usize,
+        warm_lb: u64,
+        win_idx: usize,
+    ) -> Result<Option<CubeSet>, StreamError> {
         match self {
-            EmitSource::Direct(s) => Ok(s.next_window(max)?),
-            EmitSource::Replay(s) => s.next_window(max),
-            // No analyzer runs for a single-pass fill, so the warm
-            // bound fed to the in-ring search is trivial.
-            EmitSource::Live(s) => s.next_window(max, 0, win_idx),
+            Source::Direct(s) => Ok(s.next_window(max)?),
+            Source::Banded(s) => s.next_window(max, warm_lb, win_idx),
+            Source::Spool(s) => {
+                let _span =
+                    minitrace::span_with("stream.window.spool_read", &[("window", win_idx.into())]);
+                s.next_window(max)
+            }
         }
     }
 
-    /// Original cubes read from the underlying pattern stream.
-    fn cubes_read(&self) -> usize {
+    /// The cube width, when it is known before the first window: the
+    /// banded stage peeks one cube into its ring, so its first window
+    /// can already use the full band × window capacity (a band that
+    /// could cover the whole set would otherwise order only its first
+    /// sliver globally). A direct stream learns it from its first
+    /// one-cube window instead.
+    fn peek_width(&mut self) -> Result<Option<usize>, StreamError> {
         match self {
-            EmitSource::Direct(s) => s.cubes_read(),
-            EmitSource::Replay(s) => s.cubes_read(),
-            EmitSource::Live(s) => s.cubes_read(),
+            Source::Direct(s) => Ok(s.width()),
+            Source::Banded(s) => s.peek_width(),
+            Source::Spool(s) => Ok(Some(s.width())),
         }
     }
 
-    fn width(&self) -> Option<usize> {
-        match self {
-            EmitSource::Direct(s) => s.width(),
-            EmitSource::Replay(s) => s.width(),
-            EmitSource::Live(s) => s.width(),
-        }
-    }
-
-    /// High-water mark of cubes the source itself held resident (ring
-    /// / replay buffer), on top of the windows in flight.
+    /// High-water mark of cubes the source itself held resident (the
+    /// ring), on top of the windows in flight.
     fn peak_resident_cubes(&self) -> usize {
         match self {
-            EmitSource::Direct(_) => 0,
-            EmitSource::Replay(s) => s.peak_resident_cubes(),
-            EmitSource::Live(s) => s.peak_resident_cubes(),
+            Source::Banded(s) => s.peak_resident_cubes(),
+            Source::Direct(_) | Source::Spool(_) => 0,
         }
     }
 
     /// Bytes the source holds resident — charged to the budget
-    /// governor alongside the plan.
+    /// governor.
     fn resident_bytes(&self) -> u64 {
         match self {
-            EmitSource::Direct(_) => 0,
-            EmitSource::Replay(s) => s.resident_bytes(),
-            EmitSource::Live(s) => s.resident_bytes(),
+            Source::Direct(_) => 0,
+            Source::Banded(s) => s.resident_bytes(),
+            Source::Spool(s) => s.buffer_bytes(),
         }
     }
 }
 
-/// Everything pass 1 produced.
+/// Everything pass 1 produced, besides the spool.
 struct AnalyzeOutcome {
     plan: FillPlan,
-    cubes: usize,
-    width: usize,
-    /// The recorded output-position → original-index permutation, when
-    /// a banded ordering ran during pass 1; pass 2 replays it.
-    perm: Option<Vec<u32>>,
     degradations: Vec<DegradeEvent>,
+    /// Pass 1's resident-cube high-water mark (ring plus the window in
+    /// analysis).
+    resident_peak: usize,
     /// Wall-clock spent streaming the analysis (excluding the solve).
     pass1_ns: u64,
     /// Wall-clock spent resolving the plan (solve / splice).
@@ -542,21 +554,31 @@ impl StreamingFill {
         }
     }
 
-    /// How many times [`StreamingFill::run`] will call `open`: 2 for
-    /// the planned fills (DP/MT analyze first, then re-read to emit),
-    /// 1 for the per-cube fills. Callers feeding a non-seekable source
-    /// (a pipe, say) must spool it when this returns 2.
-    pub fn input_passes(&self) -> usize {
-        match self.opts.fill {
-            FillMethod::Dp | FillMethod::Mt => 2,
-            _ => 1,
+    /// Resolves the window size once the width is known, and for a
+    /// `--memory-budget` run builds the pass's governor, charging the
+    /// fixed bytes known up front before the first window is read.
+    fn sizing(
+        &self,
+        width: usize,
+        pass: StreamPass,
+        fixed_bytes: u64,
+    ) -> Result<(Option<BudgetGovernor>, usize), StreamError> {
+        match self.opts.window {
+            WindowSpec::MemoryBudgetMiB(mib) => {
+                let mut g = BudgetGovernor::new(mib, width)?;
+                g.charge(pass, 0, fixed_bytes)?;
+                let window = g.window();
+                Ok((Some(g), window))
+            }
+            WindowSpec::Cubes(_) => Ok((None, self.opts.window.window_for_width(width)?)),
         }
     }
 
-    /// Runs the pipeline: `open` is called once per pass (twice for the
-    /// two-pass DP/MT fills, once for the per-cube fills) and must
-    /// yield the same pattern bytes each time; filled patterns stream
-    /// into `sink` as windows retire.
+    /// Runs the pipeline: `open` is called exactly once, and the input
+    /// it yields is parsed once. The planned fills (DP/MT) analyze it in
+    /// pass 1, spooling each window's planes, and replay the spool in
+    /// pass 2; the per-cube fills stream it in a single pass. Filled
+    /// patterns stream into `sink` as windows retire.
     ///
     /// On an input with no patterns, nothing is written and the report
     /// has `cubes == 0`.
@@ -566,31 +588,25 @@ impl StreamingFill {
     /// See [`StreamError`].
     pub fn run<R: Read, W: Write>(
         &self,
-        mut open: impl FnMut() -> io::Result<R>,
+        open: impl FnOnce() -> io::Result<R>,
         sink: W,
     ) -> Result<StreamReport, StreamError> {
-        let resolved = match self.opts.fill {
-            FillMethod::Dp | FillMethod::Mt => self.analyze(&mut open)?.map(|outcome| {
-                let pass1 = (outcome.cubes, outcome.width);
-                (
-                    ResolvedFill::Planned(outcome.plan),
-                    Some(pass1),
-                    outcome.perm,
-                    outcome.degradations,
-                    (outcome.pass1_ns, outcome.solve_ns),
-                )
-            }),
-            FillMethod::Zero | FillMethod::One | FillMethod::Adj | FillMethod::Random(_) => {
-                // Single pass; totals are discovered while emitting (and
-                // any banded ordering runs live in the emit loop).
-                Some((ResolvedFill::Local, None, None, Vec::new(), (0, 0)))
-            }
-            FillMethod::B | FillMethod::XStat => {
-                return Err(StreamError::UnsupportedFill(self.opts.fill))
-            }
+        if matches!(self.opts.fill, FillMethod::B | FillMethod::XStat) {
+            return Err(StreamError::UnsupportedFill(self.opts.fill));
+        }
+        let stream = PatternStream::new(open().map_err(StreamError::Open)?);
+        let source = match self.opts.order {
+            Some(order) => Source::Banded(ReorderStage::new(stream, order)),
+            None => Source::Direct(stream),
         };
-        let Some((fill, pass1, perm, degradations, phase_ns)) = resolved else {
-            return Ok(StreamReport {
+        if !matches!(self.opts.fill, FillMethod::Dp | FillMethod::Mt) {
+            // Single pass; totals are discovered while emitting (and
+            // any banded ordering runs live in the emit loop).
+            return self.emit(source, sink, None);
+        }
+        match self.analyze(source)? {
+            Some((outcome, spool)) => self.emit(Source::<R>::Spool(spool), sink, Some(outcome)),
+            None => Ok(StreamReport {
                 cubes: 0,
                 width: 0,
                 window_cubes: 0,
@@ -604,9 +620,8 @@ impl StreamingFill {
                 pass1_ns: 0,
                 solve_ns: 0,
                 pass2_ns: 0,
-            });
-        };
-        self.emit(&mut open, sink, &fill, pass1, perm, degradations, phase_ns)
+            }),
+        }
     }
 
     /// Convenience wrapper reading from a filesystem path.
@@ -619,47 +634,52 @@ impl StreamingFill {
         path: &std::path::Path,
         sink: W,
     ) -> Result<StreamReport, StreamError> {
-        self.run(|| std::fs::File::open(path), sink)
+        self.run(|| File::open(path), sink)
     }
 
-    /// Pass 1: stream every window through the stitching analyzer, then
-    /// solve globally and resolve the fill plan. Returns `None` on an
-    /// empty input.
+    /// Pass 1: stream every window through the stitching analyzer —
+    /// after the banded reorder stage, when one runs — and append it to
+    /// the plane spool, then solve globally and resolve the fill plan.
+    /// Returns `None` on an empty input, else the plan and the spool,
+    /// rewound for pass 2.
     fn analyze<R: Read>(
         &self,
-        open: &mut impl FnMut() -> io::Result<R>,
-    ) -> Result<Option<AnalyzeOutcome>, StreamError> {
+        mut source: Source<R>,
+    ) -> Result<Option<(AnalyzeOutcome, PlaneSpool<File>)>, StreamError> {
         let pass_start = Instant::now();
-        let mut stream = PatternStream::new(open().map_err(StreamError::Open)?);
-        if let Some(order) = self.opts.order {
-            return self.analyze_ordered(stream, order);
-        }
-        // The first window is a single cube: the width (and with it a
-        // budget-derived window size) is unknown until one row is read.
-        let Some(first) = stream.next_window(1)? else {
-            return Ok(None);
+        // A direct stream's first window is a single cube: the width
+        // (and with it a budget-derived window size) is unknown until
+        // one row is read.
+        let mut first = None;
+        let width = match source.peek_width()? {
+            Some(width) => width,
+            None => match source.next_window(1, 0, 0)? {
+                Some(set) => first.insert(set).width(),
+                None => return Ok(None),
+            },
         };
-        let width = first.width();
         self.check_objective(width, 0)?;
-        let mut governor = match self.opts.window {
-            WindowSpec::MemoryBudgetMiB(mib) => Some(BudgetGovernor::new(mib, width)?),
-            WindowSpec::Cubes(_) => None,
-        };
-        let mut window = self.opts.window.window_for_width(width)?;
+        let mut spool = PlaneSpool::new(spool::temp_file()?, width);
+        let (mut governor, mut window) =
+            self.sizing(width, StreamPass::Analyze, spool.buffer_bytes())?;
         let mut analyzer = WindowedAnalyzer::with_weights(width, self.analyzer_weights());
         let mut win_idx = 0usize;
         let mut offset = 0usize;
-        let mut first = Some(first);
+        let mut largest = 0usize;
         loop {
+            // The analyzer's incremental ladder doubles as the banded
+            // I-ordering's warm bound: everything already frozen out of
+            // the ring is a certified floor on the final bottleneck.
             let set = match first.take() {
                 Some(set) => set,
-                None => match stream.next_window(window)? {
+                None => match source.next_window(window, analyzer.warm_bound(), win_idx)? {
                     Some(set) => set,
                     None => break,
                 },
             };
             let cubes = offset..offset + set.len();
             offset = cubes.end;
+            largest = largest.max(set.len());
             // Contain worker panics at the window boundary: the minipool
             // scope rethrows a task panic on this thread, so catching
             // here covers the pooled per-pin fan-out inside `ingest`.
@@ -680,106 +700,33 @@ impl StreamingFill {
                     message: panic_message(payload.as_ref()),
                 });
             }
-            if let Some(g) = &mut governor {
-                g.charge(StreamPass::Analyze, win_idx, analyzer.event_bytes())?;
-                window = g.window();
-            }
-            win_idx += 1;
-        }
-        let cubes = analyzer.cols();
-        let analysis = analyzer.finish();
-        let pass1_ns = pass_start.elapsed().as_nanos() as u64;
-        let solve_start = Instant::now();
-        let plan = self.resolve_plan(analysis, cubes, width)?;
-        Ok(Some(AnalyzeOutcome {
-            plan,
-            cubes,
-            width,
-            perm: None,
-            degradations: governor
-                .map(BudgetGovernor::into_events)
-                .unwrap_or_default(),
-            pass1_ns,
-            solve_ns: solve_start.elapsed().as_nanos() as u64,
-        }))
-    }
-
-    /// Pass 1 with a banded streaming ordering: the reorder stage sits
-    /// between the reader and the analyzer, so the analyzer (and
-    /// therefore the plan, the solve, and the emitted bytes) sees the
-    /// *reordered* stream. The stage's permutation is recorded for the
-    /// emit pass to replay, and its ring is charged to the budget
-    /// governor alongside the analyzer's event stream.
-    fn analyze_ordered<R: Read>(
-        &self,
-        stream: PatternStream<R>,
-        order: BandedOrder,
-    ) -> Result<Option<AnalyzeOutcome>, StreamError> {
-        let pass_start = Instant::now();
-        let mut stage = ReorderStage::new(stream, order);
-        // One cube is peeked (into the ring, nothing forwarded) to
-        // learn the width before the window size must be resolved.
-        let Some(width) = stage.peek_width()? else {
-            return Ok(None);
-        };
-        self.check_objective(width, 0)?;
-        let mut governor = match self.opts.window {
-            WindowSpec::MemoryBudgetMiB(mib) => Some(BudgetGovernor::new(mib, width)?),
-            WindowSpec::Cubes(_) => None,
-        };
-        let mut window = self.opts.window.window_for_width(width)?;
-        let mut analyzer = WindowedAnalyzer::with_weights(width, self.analyzer_weights());
-        let mut win_idx = 0usize;
-        let mut offset = 0usize;
-        // The analyzer's incremental ladder doubles as the banded
-        // I-ordering's warm bound: everything already frozen out of the
-        // ring is a certified floor on the final bottleneck.
-        while let Some(set) = stage.next_window(window, analyzer.warm_bound(), win_idx)? {
-            let cubes = offset..offset + set.len();
-            offset = cubes.end;
-            let _span = minitrace::span_with(
-                "stream.window.analyze",
-                &[("window", win_idx.into()), ("cubes", set.len().into())],
-            );
-            let ingest = catch_unwind(AssertUnwindSafe(|| {
-                if self.opts.chaos.panic_in_analyze == Some(win_idx) {
-                    panic!("chaos: injected panic while analyzing window {win_idx}");
-                }
-                analyzer.ingest(&PackedMatrix::from_packed_set(set.as_packed()));
-            }));
-            if let Err(payload) = ingest {
-                return Err(StreamError::WindowPanicked {
-                    window: win_idx,
-                    cubes,
-                    message: panic_message(payload.as_ref()),
-                });
-            }
+            spool.append(&set)?;
             if let Some(g) = &mut governor {
                 g.charge(
                     StreamPass::Analyze,
                     win_idx,
-                    analyzer.event_bytes() + stage.resident_bytes(),
+                    analyzer.event_bytes() + source.resident_bytes() + spool.buffer_bytes(),
                 )?;
                 window = g.window();
             }
             win_idx += 1;
         }
+        spool.rewind()?;
         let cubes = analyzer.cols();
         let analysis = analyzer.finish();
         let pass1_ns = pass_start.elapsed().as_nanos() as u64;
         let solve_start = Instant::now();
         let plan = self.resolve_plan(analysis, cubes, width)?;
-        Ok(Some(AnalyzeOutcome {
+        let outcome = AnalyzeOutcome {
             plan,
-            cubes,
-            width,
-            perm: Some(stage.into_perm()),
             degradations: governor
                 .map(BudgetGovernor::into_events)
                 .unwrap_or_default(),
+            resident_peak: largest + source.peak_resident_cubes(),
             pass1_ns,
             solve_ns: solve_start.elapsed().as_nanos() as u64,
-        }))
+        };
+        Ok(Some((outcome, spool)))
     }
 
     /// Turns a finished analysis into the emit pass's fill plan: the
@@ -878,27 +825,27 @@ impl StreamingFill {
         Ok(plan)
     }
 
-    /// Pass 2 (or the only pass for per-cube fills): re-stream the
-    /// windows, fill each batch on the pool, score with the batched
-    /// sweeps, and emit as windows retire.
-    #[allow(clippy::too_many_arguments)]
+    /// Pass 2 (or the only pass for per-cube fills): stream the windows
+    /// — replayed from the plane spool after a pass 1 — fill each batch
+    /// on the pool, score with the batched sweeps, and emit as windows
+    /// retire.
     fn emit<R: Read, W: Write>(
         &self,
-        open: &mut impl FnMut() -> io::Result<R>,
+        mut source: Source<R>,
         sink: W,
-        fill: &ResolvedFill,
-        pass1: Option<(usize, usize)>,
-        perm: Option<Vec<u32>>,
-        mut degradations: Vec<DegradeEvent>,
-        phase_ns: (u64, u64),
+        pass1: Option<AnalyzeOutcome>,
     ) -> Result<StreamReport, StreamError> {
         let pass_start = Instant::now();
-        let stream = PatternStream::new(open().map_err(StreamError::Open)?);
-        let mut source = match (perm, pass1, self.opts.order) {
-            (Some(perm), Some(p1), _) => EmitSource::Replay(ReplayStream::new(stream, perm, p1)),
-            (None, None, Some(order)) => EmitSource::Live(ReorderStage::new(stream, order)),
-            _ => EmitSource::Direct(stream),
+        let (fill, mut degradations, phase_ns, mut resident_peak) = match pass1 {
+            Some(o) => (
+                ResolvedFill::Planned(o.plan),
+                o.degradations,
+                (o.pass1_ns, o.solve_ns),
+                o.resident_peak,
+            ),
+            None => (ResolvedFill::Local, Vec::new(), (0, 0), 0),
         };
+        let fill = &fill;
         let mut writer = PatternWriter::new(sink);
         let batch_windows = minipool::current_threads().max(1);
         // The emit pass's fixed memory cost: the resolved plan (and the
@@ -919,43 +866,15 @@ impl StreamingFill {
             what: "weighted toggle score".to_string(),
         };
 
-        let mut width: Option<usize> = pass1.map(|(_, w)| w);
+        let mut width = source.peek_width()?;
         let mut governor: Option<BudgetGovernor> = None;
         let mut window = None;
         if let Some(w) = width {
-            match self.opts.window {
-                WindowSpec::MemoryBudgetMiB(mib) => {
-                    let mut g = BudgetGovernor::new(mib, w)?;
-                    // Budget pressure known up front (the plan) is
-                    // charged before the first window is read.
-                    g.charge(StreamPass::Emit, 0, plan_bytes)?;
-                    window = Some(g.window());
-                    governor = Some(g);
-                }
-                WindowSpec::Cubes(_) => {
-                    window = Some(self.opts.window.window_for_width(w)?);
-                }
-            }
-        }
-        if let EmitSource::Live(stage) = &mut source {
-            // Resolve the window before the first ring fill: the first
-            // `next_window` call must already use the full band ×
-            // window capacity, or a band that could cover the whole
-            // set would order only its first sliver globally.
-            if let Some(w) = stage.peek_width()? {
-                self.check_objective(w, 0)?;
-                width = Some(w);
-                match self.opts.window {
-                    WindowSpec::MemoryBudgetMiB(mib) => {
-                        let g = BudgetGovernor::new(mib, w)?;
-                        window = Some(g.window());
-                        governor = Some(g);
-                    }
-                    WindowSpec::Cubes(_) => {
-                        window = Some(self.opts.window.window_for_width(w)?);
-                    }
-                }
-            }
+            self.check_objective(w, 0)?;
+            let (g, size) =
+                self.sizing(w, StreamPass::Emit, plan_bytes + source.resident_bytes())?;
+            governor = g;
+            window = Some(size);
         }
         let mut header_written = false;
         let mut offset = 0usize;
@@ -964,7 +883,6 @@ impl StreamingFill {
         let mut peak = 0usize;
         let mut objective_peak = 0u64;
         let mut baseline_peak = 0usize;
-        let mut resident_peak = 0usize;
         // The one-cube overlap: the previous window's frozen tail, for
         // stitching the boundary transition into the toggle metrics.
         let mut filled_tail: Option<PackedBits> = None;
@@ -974,38 +892,24 @@ impl StreamingFill {
             // Gather one batch of windows for the pool.
             let mut batch: Vec<(usize, CubeSet)> = Vec::new();
             while batch.len() < batch_windows {
-                let Some(set) = source.next_window(window.unwrap_or(1), windows + batch.len())?
+                let Some(set) =
+                    source.next_window(window.unwrap_or(1), 0, windows + batch.len())?
                 else {
                     break;
                 };
                 if width.is_none() {
                     self.check_objective(set.width(), 0)?;
                     width = Some(set.width());
-                    match self.opts.window {
-                        WindowSpec::MemoryBudgetMiB(mib) => {
-                            let g = BudgetGovernor::new(mib, set.width())?;
-                            window = Some(g.window());
-                            governor = Some(g);
-                        }
-                        WindowSpec::Cubes(_) => {
-                            window = Some(self.opts.window.window_for_width(set.width())?);
-                        }
-                    }
+                    let (g, size) = self.sizing(
+                        set.width(),
+                        StreamPass::Emit,
+                        plan_bytes + source.resident_bytes(),
+                    )?;
+                    governor = g;
+                    window = Some(size);
                 }
                 let off = offset;
                 offset += set.len();
-                if let Some((c1, w1)) = pass1 {
-                    // A width change or a source that *grew* since the
-                    // analysis pass must fail here, before any cube
-                    // beyond the plan's columns is "filled" (its X bits
-                    // would have no covering segment).
-                    if set.width() != w1 || offset > c1 {
-                        return Err(StreamError::SourceChanged {
-                            expected: (c1, w1),
-                            found: (source.cubes_read(), set.width()),
-                        });
-                    }
-                }
                 batch.push((off, set));
             }
             if batch.is_empty() {
@@ -1119,15 +1023,6 @@ impl StreamingFill {
             }
         }
 
-        if let Some((c1, w1)) = pass1 {
-            let found = (source.cubes_read(), source.width().unwrap_or(w1));
-            if found.0 != c1 {
-                return Err(StreamError::SourceChanged {
-                    expected: (c1, w1),
-                    found,
-                });
-            }
-        }
         writer.finish().map_err(StreamError::Write)?;
         if let Some(g) = governor {
             degradations.extend(g.into_events());
@@ -1400,54 +1295,46 @@ mod tests {
     }
 
     #[test]
-    fn source_changed_between_passes_is_detected() {
-        // The second open yields fewer cubes.
-        let texts = ["0X\n1X\nX1\n", "0X\n1X\n"];
-        let mut calls = 0usize;
-        let err = StreamingFill::new(StreamOptions {
-            window: WindowSpec::Cubes(2),
-            ..StreamOptions::default()
-        })
-        .run(
-            || {
-                let t = texts[calls.min(1)];
-                calls += 1;
-                Ok(t.as_bytes())
-            },
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, StreamError::SourceChanged { .. }), "{err}");
-        assert!(err.to_string().contains("changed between passes"));
-    }
-
-    #[test]
-    fn source_growing_between_passes_never_emits_unplanned_cubes() {
-        // The second open yields an extra cube: its columns lie beyond
-        // every plan segment, so the run must fail as SourceChanged
-        // before "filling" it — and nothing written may contain an X.
-        let texts = ["0X\n1X\nX1\n", "0X\n1X\nX1\nXX\n"];
-        let mut calls = 0usize;
-        let mut out = Vec::new();
-        let err = StreamingFill::new(StreamOptions {
-            window: WindowSpec::Cubes(2),
-            ..StreamOptions::default()
-        })
-        .run(
-            || {
-                let t = texts[calls.min(1)];
-                calls += 1;
-                Ok(t.as_bytes())
-            },
-            &mut out,
-        )
-        .unwrap_err();
-        assert!(matches!(err, StreamError::SourceChanged { .. }), "{err}");
-        assert!(
-            !out.contains(&b'X'),
-            "unfilled cube leaked into the output: {:?}",
-            String::from_utf8_lossy(&out)
-        );
+    fn open_runs_exactly_once_and_a_second_source_cannot_alter_the_output() {
+        use crate::ordering::BandedMethod;
+        // A source that would yield different content on a second open:
+        // the run must never ask for it, so the output is the first
+        // text's fill.
+        let texts = ["0XX1\nXX0X\n1X0X\nX1XX\n0XX1\n", "1111\n"];
+        for fill in [
+            FillMethod::Dp,
+            FillMethod::Mt,
+            FillMethod::Zero,
+            FillMethod::One,
+            FillMethod::Adj,
+            FillMethod::Random(0xF111),
+        ] {
+            for order in [None, Some(BandedOrder::new(BandedMethod::Interleave))] {
+                let mut calls = 0usize;
+                let mut out = Vec::new();
+                StreamingFill::new(StreamOptions {
+                    window: WindowSpec::Cubes(2),
+                    fill,
+                    order,
+                    ..StreamOptions::default()
+                })
+                .run(
+                    || {
+                        calls += 1;
+                        assert_eq!(calls, 1, "{}: open called twice", fill.label());
+                        Ok(texts[calls - 1].as_bytes())
+                    },
+                    &mut out,
+                )
+                .unwrap();
+                assert_eq!(calls, 1, "{}", fill.label());
+                if order.is_none() {
+                    assert_eq!(out, monolithic(texts[0], fill), "{}", fill.label());
+                } else {
+                    assert_eq!(out.split(|&b| b == b'\n').count(), 6, "{}", fill.label());
+                }
+            }
+        }
     }
 
     #[test]
@@ -1617,28 +1504,6 @@ mod tests {
             dpfill_cubes::peak_toggles(&filled).unwrap()
         );
         assert_eq!(filled.x_count(), 0, "the plan covers the reordered set");
-    }
-
-    #[test]
-    fn ordered_source_change_between_passes_is_detected() {
-        use crate::ordering::BandedMethod;
-        let texts = ["0X\n1X\nX1\n", "0X\n1X\n"];
-        let mut calls = 0usize;
-        let err = StreamingFill::new(StreamOptions {
-            window: WindowSpec::Cubes(2),
-            order: Some(BandedOrder::new(BandedMethod::XStat)),
-            ..StreamOptions::default()
-        })
-        .run(
-            || {
-                let t = texts[calls.min(1)];
-                calls += 1;
-                Ok(t.as_bytes())
-            },
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, StreamError::SourceChanged { .. }), "{err}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The bounded-lookahead reorder stage and its pass-2 replay.
+//! The bounded-lookahead reorder stage.
 //!
 //! A windowed run cannot apply a global ordering — the whole set is
 //! never resident. [`ReorderStage`] sits between the windowed reader
@@ -8,17 +8,15 @@
 //! [`BandedOrdering`](crate::ordering::BandedOrdering) (seeded with the
 //! last *forwarded* cube and the analyzer's warm lower bound), and the
 //! best prefix is frozen out. The permutation actually forwarded is
-//! recorded so the second pass can replay it.
+//! recorded (and charged to the memory budget); a planned fill's pass 2
+//! replays the reordered cubes themselves from the plane spool.
 //!
 //! Two properties matter:
 //!
 //! * **Bounded displacement.** A cube is only forwarded after it is
 //!   read, and the stage reads just enough to keep the ring full, so
 //!   output position `p` always names an original index `< p + ring
-//!   capacity`. That bound is what makes the pass-2
-//!   [`ReplayStream`] resident set small: it re-reads the input in
-//!   arrival order and buffers at most a ring's worth of cubes while
-//!   emitting in recorded order.
+//!   capacity`: no cube is held back longer than one ring.
 //! * **Whole-set exactness.** If the ring swallows the entire input
 //!   before the first window is frozen (band × window ≥ cubes), the
 //!   banded orderings delegate to their global counterparts and the
@@ -26,7 +24,6 @@
 //!   *exactly* the monolithic ordering, so the emitted bytes match the
 //!   monolithic ordered run.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -219,16 +216,6 @@ impl<R: Read> ReorderStage<R> {
         Ok(Some(CubeSet::from_packed(set)))
     }
 
-    /// Original cubes read from the underlying stream.
-    pub fn cubes_read(&self) -> usize {
-        self.read
-    }
-
-    /// The stream width, once known.
-    pub fn width(&self) -> Option<usize> {
-        self.width
-    }
-
     /// High-water mark of resident ring cubes over the whole run.
     pub fn peak_resident_cubes(&self) -> usize {
         self.peak_ring
@@ -240,130 +227,6 @@ impl<R: Read> ReorderStage<R> {
         let width = self.width.unwrap_or(0);
         let cubes = self.ring.len() as u64 + u64::from(self.tail.is_some());
         cubes * bytes_per_cube(width) + self.perm.len() as u64 * 4
-    }
-
-    /// The recorded output-position → original-index permutation.
-    pub fn into_perm(self) -> Vec<u32> {
-        self.perm
-    }
-}
-
-/// Pass-2 replay of a recorded permutation over a fresh read of the
-/// input: cubes are re-read in arrival order into a bounded buffer and
-/// emitted in recorded order. Verifies the source against pass 1 —
-/// width changes, missing cubes and extra cubes all surface as
-/// [`StreamError::SourceChanged`].
-pub(crate) struct ReplayStream<R: Read> {
-    stream: PatternStream<R>,
-    perm: Vec<u32>,
-    /// Next output position to emit.
-    pos: usize,
-    /// Read-ahead buffer: original index → cube. Bounded by the ring
-    /// capacity of the recording stage (the displacement bound).
-    pending: HashMap<u32, PackedBits>,
-    next_read: usize,
-    /// `(cubes, width)` pass 1 saw.
-    expected: (usize, usize),
-    probed: bool,
-    peak_pending: usize,
-}
-
-impl<R: Read> ReplayStream<R> {
-    pub fn new(
-        stream: PatternStream<R>,
-        perm: Vec<u32>,
-        expected: (usize, usize),
-    ) -> ReplayStream<R> {
-        ReplayStream {
-            stream,
-            perm,
-            pos: 0,
-            pending: HashMap::new(),
-            next_read: 0,
-            expected,
-            probed: false,
-            peak_pending: 0,
-        }
-    }
-
-    fn source_changed(&self, found_width: usize) -> StreamError {
-        StreamError::SourceChanged {
-            expected: self.expected,
-            found: (self.stream.cubes_read(), found_width),
-        }
-    }
-
-    /// Reads forward until original index `idx` is buffered (or proves
-    /// the source shrank).
-    fn read_to(&mut self, idx: u32) -> Result<(), StreamError> {
-        let (_, w1) = self.expected;
-        while self.next_read <= idx as usize {
-            let need = idx as usize + 1 - self.next_read;
-            let Some(set) = self.stream.next_window(need)? else {
-                // Source shrank: pass 1 saw this cube, pass 2 hit EOF.
-                return Err(self.source_changed(w1));
-            };
-            if set.width() != w1 {
-                return Err(self.source_changed(set.width()));
-            }
-            for cube in set.as_packed().cubes() {
-                self.pending.insert(self.next_read as u32, cube.clone());
-                self.next_read += 1;
-            }
-        }
-        self.peak_pending = self.peak_pending.max(self.pending.len());
-        Ok(())
-    }
-
-    /// Emits the next window of up to `max` cubes in recorded order.
-    pub fn next_window(&mut self, max: usize) -> Result<Option<CubeSet>, StreamError> {
-        let (_, w1) = self.expected;
-        if self.pos == self.perm.len() {
-            if !self.probed {
-                self.probed = true;
-                // Source grew: pass 2 has cubes pass 1 never saw.
-                if self.stream.next_window(1)?.is_some() {
-                    return Err(self.source_changed(self.stream.width().unwrap_or(w1)));
-                }
-            }
-            return Ok(None);
-        }
-        let take = max.max(1).min(self.perm.len() - self.pos);
-        let mut set = PackedCubeSet::new(w1);
-        for _ in 0..take {
-            let idx = self.perm[self.pos];
-            self.read_to(idx)?;
-            let Some(cube) = self.pending.remove(&idx) else {
-                // Unreachable for a recorded permutation (each index is
-                // consumed exactly once); fail closed rather than panic.
-                return Err(self.source_changed(w1));
-            };
-            set.push(cube);
-            self.pos += 1;
-        }
-        Ok(Some(CubeSet::from_packed(set)))
-    }
-
-    /// Original cubes read from the underlying stream.
-    pub fn cubes_read(&self) -> usize {
-        self.stream.cubes_read()
-    }
-
-    /// The stream width, once known.
-    pub fn width(&self) -> Option<usize> {
-        self.stream.width()
-    }
-
-    /// High-water mark of cubes buffered ahead of the emit cursor.
-    pub fn peak_resident_cubes(&self) -> usize {
-        self.peak_pending
-    }
-
-    /// Bytes the replay holds: the read-ahead buffer plus the recorded
-    /// permutation.
-    pub fn resident_bytes(&self) -> u64 {
-        let (_, w1) = self.expected;
-        self.pending.len() as u64 * bytes_per_cube(w1) + self.perm.len() as u64 * 4
     }
 }
 
@@ -441,53 +304,6 @@ mod tests {
             }
             assert!(s.peak_resident_cubes() <= band * window);
         }
-    }
-
-    #[test]
-    fn replay_reproduces_the_recorded_order_with_bounded_buffer() {
-        let cubes = dpfill_cubes::format::parse_patterns(TEXT).unwrap();
-        let mut s = stage(TEXT, BandedMethod::Interleave, 2);
-        let mut ordered = Vec::new();
-        let mut win = 0;
-        while let Some(set) = s.next_window(3, 0, win).unwrap() {
-            ordered.extend(set.as_packed().cubes().iter().cloned());
-            win += 1;
-        }
-        let perm = s.into_perm();
-        let mut replay = ReplayStream::new(
-            PatternStream::new(TEXT.as_bytes()),
-            perm,
-            (cubes.len(), cubes.width()),
-        );
-        let mut replayed = Vec::new();
-        while let Some(set) = replay.next_window(3).unwrap() {
-            replayed.extend(set.as_packed().cubes().iter().cloned());
-        }
-        assert_eq!(ordered, replayed);
-        assert!(replay.peak_pending <= 2 * 3);
-        assert_eq!(replay.cubes_read(), cubes.len());
-    }
-
-    #[test]
-    fn replay_detects_shrunk_and_grown_sources() {
-        let perm: Vec<u32> = vec![2, 0, 1];
-        // Shrunk: pass 1 saw 3 cubes, the file now has 2.
-        let mut shrunk = ReplayStream::new(
-            PatternStream::new("0X\n1X\n".as_bytes()),
-            perm.clone(),
-            (3, 2),
-        );
-        let err = shrunk.next_window(3).unwrap_err();
-        assert!(matches!(err, StreamError::SourceChanged { .. }), "{err}");
-        // Grown: the file now has an extra cube.
-        let mut grown = ReplayStream::new(
-            PatternStream::new("0X\n1X\nX1\nXX\n".as_bytes()),
-            perm,
-            (3, 2),
-        );
-        assert!(grown.next_window(3).unwrap().is_some());
-        let err = grown.next_window(3).unwrap_err();
-        assert!(matches!(err, StreamError::SourceChanged { .. }), "{err}");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! ops) under which a hardened pipeline must produce byte-identical
 //! output to a fault-free run.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// A fault tied to the N-th I/O call on the wrapped stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,6 +347,40 @@ impl<W: Write> Write for FaultyWriter<W> {
             return Ok(());
         }
         self.inner.flush()
+    }
+}
+
+// Pass-throughs for read-write-seek backings (a spool file, say): each
+// wrapper injects faults in its own direction only, so
+// `FaultyReader::new(FaultyWriter::new(file, writes), reads)` faults
+// both. Byte offsets count only the wrapper's own direction and ignore
+// seeks, so by-op faults are the precise tool on such a backing.
+
+impl<R: Write> Write for FaultyReader<R> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl<R: Seek> Seek for FaultyReader<R> {
+    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
+impl<W: Read> Read for FaultyWriter<W> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl<W: Seek> Seek for FaultyWriter<W> {
+    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+        self.inner.seek(pos)
     }
 }
 

@@ -13,18 +13,22 @@
 //!
 //! # Streaming ingestion
 //!
-//! [`read_patterns`] and [`parse_patterns`] stream characters straight
-//! into the packed `(care, value)` plane words of the [`CubeSet`]
-//! backing store — no intermediate `Vec<Bit>` or [`TestCube`] is ever
-//! materialized. Memory is bounded by one line buffer plus one packed
-//! row (`2 · ⌈width/64⌉` words) beyond the output set itself, so
+//! Every parser reads through one line reader, [`PatternStream`]:
+//! [`read_patterns`] and [`parse_patterns`] drain a single unbounded
+//! window of it. Lines are framed in one 64 KiB read buffer and packed
+//! straight into the `(care, value)` plane words of the [`CubeSet`]
+//! backing store by the byte-parallel kernel
+//! [`PackedBits::from_pattern_ascii`] — no intermediate `Vec<Bit>` or
+//! [`TestCube`] is ever materialized. Memory is bounded by the read
+//! buffer (which grows only for a line longer than itself) and one
+//! packed row (`2 · ⌈width/64⌉` words) beyond the output set itself, so
 //! million-cube pattern files never exist in scalar form.
 //! [`parse_patterns_scalar`] retains the original cube-at-a-time parser
 //! as the differential-test reference and benchmark baseline.
 
 use std::error::Error;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 
 use crate::packed::PackedBits;
 use crate::retry::{self, RetryReader};
@@ -143,50 +147,26 @@ fn width_error(idx: usize, got: usize, want: usize) -> CubeError {
     }
 }
 
-/// Incremental parser state: packs each line straight into plane words.
-struct PatternBuilder {
-    set: CubeSet,
-    width: Option<usize>,
-}
-
-impl PatternBuilder {
-    fn new() -> PatternBuilder {
-        PatternBuilder {
-            set: CubeSet::new(0),
-            width: None,
-        }
-    }
-
-    /// Consumes one raw line (`idx` is 0-based); comments and blank
-    /// lines are skipped here so callers just feed every line.
-    fn line(&mut self, idx: usize, line: &[u8]) -> Result<(), CubeError> {
-        let Some(row) = parse_line(idx, line)? else {
-            return Ok(());
-        };
-        match self.width {
-            Some(w) if row.len() != w => Err(width_error(idx, row.len(), w)),
-            Some(_) => self.set.push_packed(row),
-            None => {
-                self.width = Some(row.len());
-                self.set = CubeSet::new(row.len());
-                self.set.push_packed(row)
-            }
-        }
-    }
-
-    fn finish(self) -> CubeSet {
-        self.set
-    }
-}
+/// The line reader's buffer size: the source is read in chunks of this
+/// many bytes, and a line is copied only when it straddles a refill.
+const PARSE_CHUNK: usize = 64 * 1024;
 
 /// Windowed pattern ingestion: reads a pattern file **in bounded chunks
-/// of cubes** instead of materializing the whole set — the ingestion
-/// front end of the streaming fill pipeline.
+/// of cubes** instead of materializing the whole set — the one line
+/// reader behind every parser ([`read_patterns`] and [`parse_patterns`]
+/// drain a single unbounded window).
 ///
-/// The stream enforces one width across *all* windows (the line-indexed
-/// errors are identical to [`read_patterns`]) and keeps only one line
-/// buffer plus the current window resident. Reading to the end yields
-/// `Ok(None)`.
+/// Lines are framed in place in one [`PARSE_CHUNK`]-byte read buffer;
+/// only a line that straddles a refill is copied, to the buffer's
+/// front. Once the width is known, a line that is exactly `width`
+/// pattern bytes and a `\n` is packed straight from the buffer by
+/// [`PackedBits::from_pattern_ascii`] with no newline search; any other
+/// line (comments, blanks, whitespace, `\r\n`, errors) takes the
+/// general per-line path.
+///
+/// The stream enforces one width across *all* windows, with 1-based
+/// line numbers in its errors, and keeps only the read buffer plus the
+/// current window resident. Reading to the end yields `Ok(None)`.
 ///
 /// ```
 /// use dpfill_cubes::format::PatternStream;
@@ -200,11 +180,16 @@ impl PatternBuilder {
 /// assert_eq!(stream.cubes_read(), 3);
 /// ```
 pub struct PatternStream<R: Read> {
-    // The raw source is wrapped in a RetryReader *below* the BufReader,
-    // so `EINTR` storms are absorbed at the syscall boundary with a
-    // bounded budget instead of aborting (or looping) mid-window.
-    reader: BufReader<RetryReader<R>>,
+    // The raw source is wrapped in a RetryReader, so `EINTR` storms are
+    // absorbed at the syscall boundary with a bounded budget instead of
+    // aborting (or looping) mid-window.
+    reader: RetryReader<R>,
+    /// The read buffer: `buf[start..end]` is read but not yet framed.
+    /// It grows only for a line longer than the buffer itself.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    eof: bool,
     next_line: usize,
     width: Option<usize>,
     cubes_read: usize,
@@ -215,8 +200,11 @@ impl<R: Read> PatternStream<R> {
     /// [`PatternStream::next_window`] call.
     pub fn new(reader: R) -> PatternStream<R> {
         PatternStream {
-            reader: BufReader::new(RetryReader::new(reader)),
-            buf: Vec::new(),
+            reader: RetryReader::new(reader),
+            buf: vec![0; PARSE_CHUNK],
+            start: 0,
+            end: 0,
+            eof: false,
             next_line: 0,
             width: None,
             cubes_read: 0,
@@ -231,6 +219,61 @@ impl<R: Read> PatternStream<R> {
     /// Total cubes returned across all windows so far.
     pub fn cubes_read(&self) -> usize {
         self.cubes_read
+    }
+
+    /// Moves the unframed tail (the head of a straddling line) to the
+    /// front of the buffer and reads more behind it.
+    fn refill(&mut self) -> io::Result<()> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.end == self.buf.len() {
+            // One line fills the whole buffer.
+            self.buf.resize(2 * self.buf.len(), 0);
+        }
+        match self.reader.read(&mut self.buf[self.end..])? {
+            0 => self.eof = true,
+            n => self.end += n,
+        }
+        Ok(())
+    }
+
+    /// Frames and parses the next line. Returns `Ok(None)` at end of
+    /// input, else the line's row (`None` for a blank or comment line)
+    /// and its raw length in bytes.
+    fn frame_line(&mut self) -> Result<Option<(Option<PackedBits>, usize)>, PatternError> {
+        let idx = self.next_line;
+        loop {
+            let avail = &self.buf[self.start..self.end];
+            if let Some(w) = self.width {
+                // Fast path: a bare row of the known width.
+                if avail.get(w) == Some(&b'\n') {
+                    if let Ok(row) = PackedBits::from_pattern_ascii(&avail[..w]) {
+                        return Ok(Some(self.framed(Some(row), w + 1)));
+                    }
+                }
+            }
+            if let Some(end) = avail.iter().position(|&b| b == b'\n') {
+                let row = parse_line(idx, &avail[..=end])?;
+                return Ok(Some(self.framed(row, end + 1)));
+            }
+            if self.eof {
+                // A final line without a newline, or nothing left.
+                if avail.is_empty() {
+                    return Ok(None);
+                }
+                let row = parse_line(idx, avail)?;
+                return Ok(Some(self.framed(row, avail.len())));
+            }
+            self.refill()?;
+        }
+    }
+
+    /// Consumes a framed line of `len` bytes.
+    fn framed(&mut self, row: Option<PackedBits>, len: usize) -> (Option<PackedBits>, usize) {
+        self.start += len;
+        self.next_line += 1;
+        (row, len)
     }
 
     /// Reads the next window of at most `max_cubes` cubes. Returns
@@ -257,14 +300,12 @@ impl<R: Read> PatternStream<R> {
         let mut count = 0usize;
         let mut bytes = 0usize;
         while count < max_cubes {
-            self.buf.clear();
-            if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
-                break;
-            }
-            bytes += self.buf.len();
             let idx = self.next_line;
-            self.next_line += 1;
-            let Some(row) = parse_line(idx, &self.buf)? else {
+            let Some((row, len)) = self.frame_line()? else {
+                break;
+            };
+            bytes += len;
+            let Some(row) = row else {
                 continue;
             };
             if let Some(w) = self.width {
@@ -396,9 +437,9 @@ impl<W: Write> PatternWriter<W> {
     }
 }
 
-/// Parses a pattern file from any reader, streaming each line into the
-/// packed planes with one reused line buffer (memory stays bounded by
-/// the output set plus one line). Note that a `&[u8]` or `&mut R` can be
+/// Parses a pattern file from any reader: one unbounded
+/// [`PatternStream`] window, so memory stays bounded by the output set
+/// plus the stream's read buffer. Note that a `&[u8]` or `&mut R` can be
 /// passed where `R: Read` is expected.
 ///
 /// # Errors
@@ -407,33 +448,26 @@ impl<W: Write> PatternWriter<W> {
 /// [`PatternError::Cube`] (wrapping [`CubeError::ParseLine`] with the
 /// 1-based line number) for the first offending line.
 pub fn read_patterns<R: Read>(reader: R) -> Result<CubeSet, PatternError> {
-    let mut reader = BufReader::new(reader);
-    let mut builder = PatternBuilder::new();
-    let mut buf = Vec::new();
-    let mut idx = 0usize;
-    loop {
-        buf.clear();
-        if reader.read_until(b'\n', &mut buf)? == 0 {
-            break;
-        }
-        builder.line(idx, &buf)?;
-        idx += 1;
-    }
-    Ok(builder.finish())
+    Ok(PatternStream::new(reader)
+        .next_window(usize::MAX)?
+        .unwrap_or_else(|| CubeSet::new(0)))
 }
 
-/// Parses a pattern file from a string, streaming into plane words
-/// (no per-cube scalar allocation).
+/// Parses a pattern file from a string through the same line reader as
+/// [`read_patterns`].
 ///
 /// # Errors
 ///
 /// Returns [`CubeError::ParseLine`] on the first malformed line.
 pub fn parse_patterns(text: &str) -> Result<CubeSet, CubeError> {
-    let mut builder = PatternBuilder::new();
-    for (idx, line) in text.lines().enumerate() {
-        builder.line(idx, line.as_bytes())?;
-    }
-    Ok(builder.finish())
+    read_patterns(text.as_bytes()).map_err(|e| match e {
+        PatternError::Cube(e) => e,
+        // Reading a byte slice cannot fail; kept total without a panic.
+        PatternError::Io(e) => CubeError::ParseLine {
+            line: 0,
+            message: e.to_string(),
+        },
+    })
 }
 
 /// The original cube-at-a-time parser (`Vec<Bit>` per line, packed on

@@ -45,6 +45,48 @@ fn tail_mask(len: usize) -> u64 {
     }
 }
 
+/// Byte `b` repeated in all eight lanes of a word.
+const fn lanes(b: u8) -> u64 {
+    u64::from_le_bytes([b; 8])
+}
+
+/// The high bit of every byte lane.
+const LANE_HIGH: u64 = lanes(0x80);
+
+/// Sets the high bit of exactly the zero byte lanes of `x` (no carry
+/// crosses a lane, so there are no false positives).
+#[inline]
+fn zero_lanes(x: u64) -> u64 {
+    let low7 = lanes(0x7F);
+    !(((x & low7) + low7) | x) & LANE_HIGH
+}
+
+/// Gathers the high bit of each byte lane into one byte: lane `i` → bit
+/// `i`. Each lane's bit lands in its own bit of the top byte, and the
+/// partial products below it never overlap, so nothing carries.
+#[inline]
+fn gather_lanes(high: u64) -> u64 {
+    ((high >> 7).wrapping_mul(0x0102_0408_1020_4080)) >> 56
+}
+
+/// Classifies eight pattern bytes (little-endian lanes of `x`): returns
+/// the care byte, the value byte (zero outside care lanes) and the
+/// high-bit mask of the lanes in the `01Xx-` alphabet.
+#[inline]
+fn classify_group(x: u64) -> (u64, u64, u64) {
+    // `0`/`1` differ only in bit 0; `X`/`x` only in bit 5.
+    let care = zero_lanes((x & !lanes(0x01)) ^ lanes(b'0'));
+    let dont_care = zero_lanes((x | lanes(0x20)) ^ lanes(b'x')) | zero_lanes(x ^ lanes(b'-'));
+    let value = (x << 7) & care;
+    (gather_lanes(care), gather_lanes(value), care | dont_care)
+}
+
+/// Whether `b` is a pattern character (`0`, `1`, `X`, `x` or `-`) — the
+/// per-byte rescan behind [`PackedBits::from_pattern_ascii`]'s error.
+fn is_pattern_byte(b: u8) -> bool {
+    matches!(b, b'0' | b'1' | b'X' | b'x' | b'-')
+}
+
 /// The plane store of one row. Which variant holds the planes is a
 /// function of the row's `len` alone, so the derived equality and hash
 /// stay structural.
@@ -133,37 +175,46 @@ impl PackedBits {
     }
 
     /// Packs a `01Xx-` ASCII pattern row straight into plane words — the
-    /// streaming-parser kernel. A 256-entry table maps each byte to its
-    /// `(care, value)` plane bits branchlessly (pattern data is random
-    /// `0/1/X`, so a match would mispredict on nearly every byte), and 64
-    /// characters accumulate into two register words, stored by word
-    /// index into an [`PackedBits::all_x`] row of the text's width.
-    /// Returns the first byte outside the alphabet as `Err` (multi-byte
+    /// parse kernel, the inverse of
+    /// [`PackedBits::append_pattern_ascii`]. Each group of 8 bytes is
+    /// loaded as one `u64`; byte-lane compares classify every lane as
+    /// care (`0`/`1`) or X (`X`/`x`/`-`) at once, and a multiply gathers
+    /// the lane flags into one care byte and one value byte. A partial
+    /// last group is padded with `X`. Validity is checked once per
+    /// 64-pin word; only a word holding a bad byte is rescanned, to
+    /// return the first byte outside the alphabet as `Err` (multi-byte
     /// UTF-8 sequences fail on their lead byte).
     pub fn from_pattern_ascii(text: &[u8]) -> Result<PackedBits, u8> {
-        // Encoding: bit0 = value, bit1 = care, 0xFF = invalid byte.
-        const INVALID: u8 = 0xFF;
-        const LUT: [u8; 256] = {
-            let mut t = [INVALID; 256];
-            t[b'0' as usize] = 0b10;
-            t[b'1' as usize] = 0b11;
-            t[b'x' as usize] = 0b00;
-            t[b'X' as usize] = 0b00;
-            t[b'-' as usize] = 0b00;
-            t
-        };
         let mut row = PackedBits::all_x(text.len());
         let (care, val) = row.planes_mut();
         for (chunk, (cw, vw)) in text.chunks(WORD).zip(care.iter_mut().zip(val)) {
             let mut care_w = 0u64;
             let mut val_w = 0u64;
-            for (b, &byte) in chunk.iter().enumerate() {
-                let e = LUT[byte as usize];
-                if e == INVALID {
-                    return Err(byte);
-                }
-                care_w |= ((e >> 1) as u64) << b;
-                val_w |= ((e & 1) as u64) << b;
+            let mut valid = LANE_HIGH;
+            let mut groups = chunk.chunks_exact(8);
+            let mut shift = 0;
+            for group in &mut groups {
+                let mut bytes = [0u8; 8];
+                bytes.copy_from_slice(group);
+                let (c, v, ok) = classify_group(u64::from_le_bytes(bytes));
+                care_w |= c << shift;
+                val_w |= v << shift;
+                valid &= ok;
+                shift += 8;
+            }
+            let tail = groups.remainder();
+            if !tail.is_empty() {
+                let mut bytes = [b'X'; 8];
+                bytes[..tail.len()].copy_from_slice(tail);
+                let (c, v, ok) = classify_group(u64::from_le_bytes(bytes));
+                care_w |= c << shift;
+                val_w |= v << shift;
+                valid &= ok;
+            }
+            if valid != LANE_HIGH {
+                // Cold path: name the first byte outside the alphabet.
+                let bad = chunk.iter().copied().find(|&b| !is_pattern_byte(b));
+                return Err(bad.unwrap_or(0));
             }
             *cw = care_w;
             *vw = val_w;
@@ -225,6 +276,44 @@ impl PackedBits {
                 tail.copy_from_slice(&group(care >> shift, val >> shift)[..n]);
             }
         }
+    }
+
+    /// Bytes of one [`PackedBits::append_plane_bytes`] record for a row
+    /// of `len` bits: `2 · ⌈len/64⌉` little-endian words.
+    pub fn plane_bytes_len(len: usize) -> usize {
+        16 * words_for(len)
+    }
+
+    /// Appends the row's raw planes as one fixed-size binary record: the
+    /// care words, then the value words, each little-endian. The
+    /// inverse is [`PackedBits::from_plane_bytes`].
+    pub fn append_plane_bytes(&self, out: &mut Vec<u8>) {
+        let (care, val) = self.planes();
+        for w in care.iter().chain(val) {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Rebuilds a `len`-bit row from an [`PackedBits::append_plane_bytes`]
+    /// record. Returns `None` unless the record has exactly
+    /// [`PackedBits::plane_bytes_len`] bytes and canonical planes: no
+    /// value bit outside the care plane, no live bit past `len`.
+    pub fn from_plane_bytes(len: usize, record: &[u8]) -> Option<PackedBits> {
+        if record.len() != PackedBits::plane_bytes_len(len) {
+            return None;
+        }
+        let mut row = PackedBits::all_x(len);
+        let (care, val) = row.planes_mut();
+        let n = care.len();
+        let mut words = record
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]));
+        for (w, word) in care.iter_mut().chain(val.iter_mut()).zip(&mut words) {
+            *w = word;
+        }
+        let stray = care.iter().zip(val.iter()).any(|(&c, &v)| v & !c != 0);
+        let live_tail = n > 0 && care[n - 1] & !tail_mask(len) != 0;
+        (!stray && !live_tail).then_some(row)
     }
 
     /// Packs a scalar bit slice.

@@ -17,7 +17,7 @@
 //!   loops retry `Interrupted` unconditionally) cannot spin forever;
 //! * [`RetryReader`] — a `Read` adapter applying the same policy, used
 //!   by the windowed [`PatternStream`](crate::format::PatternStream)
-//!   and the CLI's stdin spool.
+//!   and by the streaming pipeline's plane-spool reads.
 //!
 //! The backoff is deliberately clock- and RNG-free (spin/yield only) so
 //! fault-injection tests stay bit-for-bit deterministic.
@@ -148,8 +148,8 @@ pub fn write_all<W: io::Write + ?Sized>(writer: &mut W, mut buf: &[u8]) -> io::R
 }
 
 /// A `Read` adapter routing every `read` through the bounded `EINTR`
-/// policy. Wrap the raw source *under* any `BufReader`, so the retry
-/// happens at the syscall boundary.
+/// policy. Wrap the raw source *under* any buffering layer, so the
+/// retry happens at the syscall boundary.
 #[derive(Debug)]
 pub struct RetryReader<R> {
     inner: R,

@@ -60,11 +60,12 @@
 //!
 //! Every failure class exits with its own code (see the README's
 //! "Error model & robustness" table): 2 usage/unsupported
-//! configuration, 3 input I/O, 4 malformed input, 5 output write,
-//! 6 source changed between passes, 7 contained worker panic,
+//! configuration, 3 input I/O (including the streaming plane spool),
+//! 4 malformed input, 5 output write, 7 contained worker panic,
 //! 8 memory budget exhausted, 9 arithmetic overflow, 10 no patterns,
 //! 11 solver failure, 12 invalid weight table, 70 escaped-panic
-//! backstop.
+//! backstop. Code 6 is retired (it was "source changed between
+//! passes"; the input is now read once) and is not reused.
 //!
 //! The `DPFILL_CHAOS` environment variable (`fill:N`, `analyze:N`, or
 //! both comma-separated) makes the streaming pipeline panic inside the
@@ -87,11 +88,11 @@ use std::process::ExitCode;
 use dpfill_core::fill::{FillErrorSource, FillMethod};
 use dpfill_core::ordering::{BandedMethod, OrderingMethod};
 use dpfill_core::stream::{
-    BandedOrder, ChaosPlan, StreamError, StreamOptions, StreamingFill, WindowSpec,
+    create_exclusive, BandedOrder, ChaosPlan, StreamError, StreamOptions, StreamingFill, WindowSpec,
 };
 use dpfill_core::{FillObjective, ObjectiveError, ObjectiveKind, WeightTable};
 use dpfill_cubes::format::PatternError;
-use dpfill_cubes::retry::{self, RetryReader, RetryWriter};
+use dpfill_cubes::retry::RetryWriter;
 use dpfill_cubes::{format, peak_toggles, weighted_peak_toggles, Bit, CubeSet};
 use dpfill_netlist::CombView;
 use dpfill_power::{input_switch_caps, CapacitanceModel, GridModel, LeakageModel, PowerConfig};
@@ -102,14 +103,16 @@ use dpfill_power::{input_switch_caps, CapacitanceModel, GridModel, LeakageModel,
 mod exit {
     /// Bad arguments or a configuration streaming cannot honor.
     pub const USAGE: u8 = 2;
-    /// Opening or reading the pattern input failed.
+    /// Opening or reading the pattern input failed, or the streaming
+    /// plane spool (a temp file) could not be created, written or read.
     pub const INPUT_IO: u8 = 3;
     /// A pattern line failed to parse (bad character, ragged width).
     pub const MALFORMED: u8 = 4;
     /// Writing the filled patterns failed (disk full, broken pipe).
     pub const OUTPUT: u8 = 5;
-    /// The input returned different content on the second pass.
-    pub const SOURCE_CHANGED: u8 = 6;
+    // 6 is retired, not renumbered: it meant "the input returned
+    // different content on the second pass", and the input is now read
+    // exactly once.
     /// A worker panicked; the panic was contained at its window.
     pub const WINDOW_PANICKED: u8 = 7;
     /// `--memory-budget` degraded to one-cube windows and still ran out.
@@ -154,7 +157,9 @@ impl CliError {
 /// the input source in the diagnostic.
 fn stream_error(label: &str, e: &StreamError) -> CliError {
     let code = match e {
-        StreamError::Open(_) | StreamError::Pattern(PatternError::Io(_)) => exit::INPUT_IO,
+        StreamError::Open(_)
+        | StreamError::Pattern(PatternError::Io(_))
+        | StreamError::Spool { .. } => exit::INPUT_IO,
         StreamError::Pattern(PatternError::Cube(_)) => exit::MALFORMED,
         StreamError::Write(_) => exit::OUTPUT,
         // A bad weight table is the caller's error (12) — except a
@@ -166,7 +171,6 @@ fn stream_error(label: &str, e: &StreamError) -> CliError {
         },
         StreamError::UnsupportedFill(_) => exit::USAGE,
         StreamError::Order(_) => exit::SOLVE,
-        StreamError::SourceChanged { .. } => exit::SOURCE_CHANGED,
         StreamError::WindowPanicked { .. } => exit::WINDOW_PANICKED,
         StreamError::BudgetExhausted { .. } => exit::BUDGET_EXHAUSTED,
         StreamError::Overflow { .. } => exit::OVERFLOW,
@@ -468,66 +472,6 @@ fn objective_for(opts: &Options, width: Option<usize>) -> Result<FillObjective, 
             };
             Ok(FillObjective::ir_drop(table))
         }
-    }
-}
-
-/// A spool file for non-seekable stdin in streaming mode; removed on
-/// drop.
-struct Spool {
-    path: PathBuf,
-}
-
-/// Opens a fresh file with `create_new`, which refuses to follow
-/// symlinks or reuse an existing path — a predictable name in a shared
-/// directory can be neither clobbered nor pre-planted. The `name`
-/// callback receives a timestamp nonce and the attempt number; the open
-/// retries with a new name on collision and returns the final
-/// collision error if all sixteen attempts collide.
-fn create_exclusive(
-    name: impl Fn(u32, u32) -> PathBuf,
-) -> std::io::Result<(std::fs::File, PathBuf)> {
-    retry::with_retries(
-        16,
-        |e| e.kind() == std::io::ErrorKind::AlreadyExists,
-        |attempt| {
-            let nanos = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map_or(0, |d| d.subsec_nanos());
-            let path = name(nanos, attempt as u32);
-            std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-                .map(|file| (file, path))
-        },
-    )
-}
-
-impl Spool {
-    fn from_stdin() -> Result<Spool, CliError> {
-        let (file, path) = create_exclusive(|nanos, attempt| {
-            std::env::temp_dir().join(format!(
-                "dpfill-xfill-{}-{nanos}-{attempt}.pat",
-                std::process::id()
-            ))
-        })
-        .map_err(|e| CliError::new(exit::INPUT_IO, format!("cannot spool stdin: {e}")))?;
-        let spool = Spool { path };
-        let mut writer = BufWriter::new(file);
-        // The bounded-retry reader absorbs EINTR bursts during the copy
-        // and converts an interrupt storm into a hard error instead of
-        // spinning forever inside `io::copy`.
-        let mut stdin = RetryReader::new(std::io::stdin().lock());
-        std::io::copy(&mut stdin, &mut writer)
-            .and_then(|_| writer.flush())
-            .map_err(|e| CliError::new(exit::INPUT_IO, format!("cannot spool stdin: {e}")))?;
-        Ok(spool)
-    }
-}
-
-impl Drop for Spool {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -864,18 +808,13 @@ fn run_streaming(opts: &Options, json: &mut JsonReport) -> Result<(), CliError> 
         objective: objective.clone(),
     });
     let label = opts.input.as_deref().unwrap_or("<stdin>");
-    // The planned fills read the input twice, so stdin is spooled to a
-    // temp file for them (both passes must see identical bytes). The
-    // per-cube fills open the source exactly once and stream stdin
-    // directly — no extra disk traffic.
+    // The pipeline opens its source exactly once (the planned fills
+    // replay pass 2 from their own plane spool), so stdin streams
+    // directly for every fill.
     let mut sink = StreamSink::new(&opts.output);
-    let report = match (&opts.input, driver.input_passes() > 1) {
-        (Some(path), _) => driver.run_path(Path::new(path), &mut sink),
-        (None, true) => {
-            let spool = Spool::from_stdin()?;
-            driver.run_path(&spool.path, &mut sink)
-        }
-        (None, false) => driver.run(|| Ok(std::io::stdin().lock()), &mut sink),
+    let report = match &opts.input {
+        Some(path) => driver.run_path(Path::new(path), &mut sink),
+        None => driver.run(|| Ok(std::io::stdin().lock()), &mut sink),
     }
     .map_err(|e| stream_error(label, &e))?;
     if report.cubes == 0 {

@@ -1,6 +1,7 @@
 //! End-to-end fault injection for `dpfill-xfill`: every failure class
 //! exits with its documented code, contained panics are attributed to
-//! their window, a killed consumer never leaks the stdin spool, and a
+//! their window, no run leaks a plane spool (or fails to diagnose a
+//! spool it cannot create), and a
 //! budget-degraded run is observable in `--stats` while staying
 //! byte-identical.
 
@@ -211,19 +212,43 @@ fn chaos_panic_with_output_file_keeps_the_target_intact_and_leaks_nothing() {
     let _ = std::fs::remove_file(&out_path);
 }
 
-#[test]
-fn killed_consumer_mid_emit_exits_typed_and_leaks_no_spool() {
-    // A private TMPDIR so the spool-leak scan sees only this run.
+/// A fresh private directory under the system temp dir.
+fn private_dir(tag: &str) -> std::path::PathBuf {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.subsec_nanos());
-    let tmpdir =
-        std::env::temp_dir().join(format!("xfill-chaos-tmp-{}-{nanos}", std::process::id()));
-    std::fs::create_dir(&tmpdir).expect("create private TMPDIR");
+    let dir = std::env::temp_dir().join(format!("xfill-{tag}-{}-{nanos}", std::process::id()));
+    std::fs::create_dir(&dir).expect("create private dir");
+    dir
+}
+
+/// Every entry left in `dir`.
+fn entries(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .expect("scan private dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+#[test]
+fn killed_consumer_mid_emit_exits_typed_and_leaks_no_spool() {
+    // A private TMPDIR so the leak scan sees only these runs: the plane
+    // spool is unlinked as soon as it is created, so the directory must
+    // stay empty after a successful run and after a failed one.
+    let tmpdir = private_dir("chaos-tmp");
 
     // Big enough that pass 2's output overflows the pipe buffer after
     // the consumer is gone.
     let input = alternating_input(64, 4096);
+    let ok = run_xfill_env(
+        &["--order", "keep", "--window", "64"],
+        &input,
+        &[("TMPDIR", tmpdir.to_str().expect("utf-8 path"))],
+    );
+    assert_eq!(ok.code, Some(0), "stderr: {}", ok.stderr);
+    assert!(entries(&tmpdir).is_empty(), "leaked {:?}", entries(&tmpdir));
+
     let mut child = Command::new(env!("CARGO_BIN_EXE_dpfill-xfill"))
         .args(["--order", "keep", "--window", "64"])
         .env("TMPDIR", &tmpdir)
@@ -252,16 +277,46 @@ fn killed_consumer_mid_emit_exits_typed_and_leaks_no_spool() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // The stdin spool in our private TMPDIR was cleaned on the error
-    // path: a leak here is exactly the bug the drop guard prevents.
-    let leaked: Vec<String> = std::fs::read_dir(&tmpdir)
-        .expect("scan private TMPDIR")
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with("dpfill-xfill-") && n.ends_with(".pat"))
-        .collect();
-    assert!(leaked.is_empty(), "leaked spool files {leaked:?}");
+    assert!(entries(&tmpdir).is_empty(), "leaked {:?}", entries(&tmpdir));
     let _ = std::fs::remove_dir_all(&tmpdir);
+}
+
+#[test]
+fn an_uncreatable_plane_spool_is_input_io_and_commits_nothing() {
+    let dir = private_dir("spool-out");
+    let missing = dir.join("no-such-tmpdir");
+    let out_path = dir.join("filled.pat");
+    for fill in ["dp", "mt"] {
+        let run = run_xfill_env(
+            &[
+                "--fill",
+                fill,
+                "--order",
+                "keep",
+                "--window",
+                "2",
+                "--output",
+                out_path.to_str().expect("utf-8 path"),
+            ],
+            INPUT,
+            &[("TMPDIR", missing.to_str().expect("utf-8 path"))],
+        );
+        assert_eq!(run.code, Some(EXIT_INPUT_IO), "{fill}: {}", run.stderr);
+        assert!(
+            run.stderr.contains("cannot create plane spool"),
+            "{fill}: {}",
+            run.stderr
+        );
+        assert!(entries(&dir).is_empty(), "{fill}: left {:?}", entries(&dir));
+    }
+    // The single-pass fills keep no spool and never touch TMPDIR.
+    let run = run_xfill_env(
+        &["--fill", "0", "--order", "keep", "--window", "2"],
+        INPUT,
+        &[("TMPDIR", missing.to_str().expect("utf-8 path"))],
+    );
+    assert_eq!(run.code, Some(0), "stderr: {}", run.stderr);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

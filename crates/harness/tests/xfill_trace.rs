@@ -269,3 +269,71 @@ fn stats_prints_the_aggregate_table() {
     );
     assert!(stderr.contains("bcp.ladder.loads"), "counters: {stderr}");
 }
+
+/// The total of counter `name` in a `--stats` table, or in a
+/// `--stats-json` document's `"counters"` object.
+fn counter(text: &str, name: &str) -> Option<u64> {
+    text.lines().find_map(|line| {
+        let line = line.trim().trim_end_matches(',');
+        let rest = line
+            .strip_prefix(&format!("\"{name}\":"))
+            .or_else(|| line.strip_prefix(name))?;
+        rest.trim().parse().ok()
+    })
+}
+
+#[test]
+fn a_planned_window_512_run_parses_the_input_once_and_replays_the_spool() {
+    // 2000 cubes x 70 pins: four windows of 512, a 32-byte plane record
+    // per cube. Both pass-1 sources: input order and the banded default.
+    let (cubes, width) = (2000usize, 70usize);
+    let mut text = String::from("# header comment\n");
+    for i in 0..cubes {
+        for j in 0..width {
+            text.push(['0', 'X', '1', 'X', 'X'][(i * 7 + j * 3) % 5]);
+        }
+        text.push('\n');
+    }
+    let input = Scratch::new("parse-once.pat");
+    std::fs::write(&input.0, &text).expect("input written");
+    let record = 2 * width.div_ceil(64) * 8;
+    for order in ["keep", "interleave"] {
+        for fill in ["dp", "mt"] {
+            let json = Scratch::new(&format!("parse-once-{order}-{fill}.json"));
+            let (_, stderr, ok) = run_xfill(
+                &[
+                    "--fill",
+                    fill,
+                    "--order",
+                    order,
+                    "--window",
+                    "512",
+                    "--stats",
+                    "--stats-json",
+                    json.as_str(),
+                    input.as_str(),
+                ],
+                "",
+            );
+            assert!(ok, "{order}/{fill}: {stderr}");
+            let doc = std::fs::read_to_string(&json.0).expect("stats-json written");
+            for source in [&stderr, &doc] {
+                // One parse of the whole file, not one per pass.
+                assert_eq!(
+                    counter(source, "cubes.parse.bytes"),
+                    Some(text.len() as u64),
+                    "{order}/{fill}: {source}"
+                );
+                assert_eq!(counter(source, "cubes.parse.cubes"), Some(cubes as u64));
+                // Pass 2 reads back exactly what pass 1 spooled.
+                let spooled = (cubes * record) as u64;
+                assert_eq!(counter(source, "stream.spool.bytes"), Some(spooled));
+                assert_eq!(counter(source, "stream.spool.read_bytes"), Some(spooled));
+                assert!(
+                    source.contains("stream.window.spool_read"),
+                    "{order}/{fill}: {source}"
+                );
+            }
+        }
+    }
+}
